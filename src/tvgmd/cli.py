@@ -3,8 +3,9 @@
 Exit codes: 0 success (decompose: converged), 3 decompose finished without
 converging (results are still written), 1 runtime or validation error,
 2 bad flags or usage. The --threads flag (env fallback TVGMD_THREADS) is
-accepted for harness compatibility; all numerical paths use fixed-order
-reductions, so results are bit-identical regardless of its value.
+validated as an integer >= 0 and otherwise has no effect: nothing reads it
+to size a thread pool. All numerical paths use fixed-order reductions, so
+results are bit-identical regardless of its value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import DecompositionConfig, OMEGA_INIT_CHOICES
 from .decomposer import decompose, decompose_mvmd
-from .errors import TvgmdError
+from .errors import DegenerateModeError, TvgmdError
 from .graph_ops import EdgeIndexing, nodes_from_edge_count
 from .io_formats import (
     RunManifest,
@@ -35,7 +36,7 @@ from .io_formats import (
     write_result,
     write_signal_csv,
 )
-from .spectral import frequency_grid, mirror_extend
+from .spectral import frequency_grid, mean_frequency, mirror_extend
 from .synth import SynthSpec, generate, paper_preset
 
 _PRESETS = ("paper",)
@@ -193,24 +194,24 @@ def cmd_inspect(args) -> int:
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
     for k, path in enumerate(mode_paths, start=1):
         mode = read_matrix_csv(path)
-        t_len = mode.shape[1]
         ext = mirror_extend(mode) if mirror else mode
         spectra = np.fft.rfft(ext, axis=1)
         power = (np.abs(spectra) ** 2).sum(axis=0)
         grid = frequency_grid(ext.shape[1])
         center_hz = centers[k - 1]
-        total = power.sum()
-        if total > 0:
-            center_norm = float((power @ grid) / total)
+        try:
+            center_norm = mean_frequency(power, grid)
+        except DegenerateModeError:
+            concentration = 0.0
+        else:
             halfwidth = max(5, int(0.02 * ext.shape[1]))
             center_bin = int(round(center_norm * ext.shape[1]))
             lo = max(0, center_bin - halfwidth)
-            concentration = power[lo : center_bin + halfwidth + 1].sum() / total
-        else:
-            concentration = 0.0
+            band = power[lo : center_bin + halfwidth + 1]
+            concentration = band.sum() / power.sum()
         adjacency = run_dir / f"adjacency_{k}.json"
-        if adjacency.exists():
-            weights = read_adjacency_json(adjacency)
+        weights = read_adjacency_json(adjacency) if adjacency.exists() else None
+        if weights is not None:
             idx = EdgeIndexing(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]
             edges = ", ".join(
@@ -221,9 +222,7 @@ def cmd_inspect(args) -> int:
         else:
             edges = "(no graph)"
         print(f"{k:4d}  {center_hz:9.4f}   {concentration:10.4f}  {edges}")
-        if args.edges and adjacency.exists():
-            weights = read_adjacency_json(adjacency)
-            idx = EdgeIndexing(nodes_from_edge_count(weights.size))
+        if args.edges and weights is not None:
             for e in range(weights.size):
                 print(
                     f"      edge {idx.rows[e] + 1}-{idx.cols[e] + 1}: "
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
     p_dec.add_argument("--threads", default=None,
-                       help="worker cap, 0 = all cores (default: "
-                            "TVGMD_THREADS or 0); results do not depend on it")
+                       help="validated (integer >= 0) but has no effect "
+                            "(default: TVGMD_THREADS or 0)")
     p_dec.add_argument("--out", required=True, help="output directory")
     p_dec.set_defaults(func=cmd_decompose)
 

@@ -7,7 +7,6 @@ threads; arrays are copied in and marked read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -17,9 +16,9 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteInputError,
 )
-from .graph_ops import n_edges, pairwise_distances
+from .graph_ops import n_edges
 from .graph_learner import graph_objective
-from .spectral import SpectralModeSet, mirror_extend, parseval_weights
+from .spectral import frequency_grid, parseval_weights
 
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
 
@@ -192,12 +191,23 @@ def validate_config(
 
 
 def objective_value(
-    spectra: SpectralModeSet,
-    modes: Sequence[GraphMode],
-    signal: TimeVaryingGraphSignal,
+    g_hat: np.ndarray,
+    lam_hat: np.ndarray,
+    omegas: np.ndarray,
+    x_hat: np.ndarray,
+    n_samples: int,
     config: DecompositionConfig,
+    edge_w: np.ndarray | None = None,
+    zs: np.ndarray | None = None,
 ) -> float:
     """Augmented-Lagrangian value of a decomposition state.
+
+    ``g_hat`` (K, N, F) holds the mode spectra, ``lam_hat`` (N, F) the
+    duals, ``omegas`` the K normalized centers and ``x_hat`` (N, F) the
+    input spectrum, all on the half-spectrum grid of the (mirror-extended
+    when ``config.mirror_extend``) input of ``n_samples`` samples per node.
+    When ``beta > 0``, ``edge_w`` and ``zs`` (K, M) are each mode's edge
+    weights and the pairwise distances of its node signals.
 
     The spectral part sums, over modes and nodes, the bandwidth penalty
     ``2*alpha*(omega - omega_k)^2 |g_hat|^2`` plus the reconstruction
@@ -208,46 +218,40 @@ def objective_value(
     nonpositive degree mapped to +inf. Monitoring only; the decomposition
     never branches on this value.
     """
-    if len(modes) != spectra.n_modes:
-        raise DimensionMismatchError("mode list and spectra disagree on K")
-    if signal.n_nodes != spectra.n_nodes:
-        raise DimensionMismatchError("signal and spectra disagree on N")
-    t_ext = spectra.t_ext
-    freqs = np.arange(t_ext // 2 + 1) / t_ext
+    t_ext = 2 * n_samples if config.mirror_extend else n_samples
+    freqs = frequency_grid(t_ext)
+    if (
+        x_hat.shape[-1] != len(freqs)
+        or lam_hat.shape != x_hat.shape
+        or g_hat.shape != (len(omegas),) + x_hat.shape
+    ):
+        raise DimensionMismatchError("spectra, duals and centers disagree")
     weights = parseval_weights(t_ext)
-    scale = signal.n_samples / t_ext / t_ext
+    scale = n_samples / t_ext / t_ext
 
-    sq = (freqs[None, :] - spectra.omegas[:, None]) ** 2  # (K, F)
-    power = np.abs(spectra.mode_spectra) ** 2  # (K, N, F)
+    sq = (freqs[None, :] - omegas[:, None]) ** 2  # (K, F)
+    power = np.abs(g_hat) ** 2  # (K, N, F)
     bandwidth = float(np.einsum("kf,knf,f->", sq, power, weights))
     bandwidth *= 2.0 * config.alpha
 
-    x_ext = signal.samples
-    if t_ext == 2 * signal.n_samples:
-        x_ext = mirror_extend(x_ext)
-    elif t_ext != signal.n_samples:
-        raise DimensionMismatchError("spectra grid does not match the signal")
-    x_hat = np.fft.rfft(x_ext, axis=1)
-    resid_hat = x_hat - spectra.mode_spectra.sum(axis=0)
+    resid_hat = x_hat - g_hat.sum(axis=0)
     reconstruction = float(np.einsum("nf,f->", np.abs(resid_hat) ** 2, weights))
     dual = float(
-        np.einsum(
-            "nf,f->", np.real(np.conj(spectra.dual_spectra) * resid_hat), weights
-        )
+        np.einsum("nf,f->", np.real(np.conj(lam_hat) * resid_hat), weights)
     )
     h1 = scale * (bandwidth + reconstruction + dual)
 
     h2 = 0.0
     if config.beta > 0:
-        for mode in modes:
-            z = pairwise_distances(
-                mode.mode_samples, normalize=config.normalize_distances
+        if (
+            edge_w is None
+            or zs is None
+            or edge_w.shape != zs.shape
+            or len(edge_w) != len(omegas)
+        ):
+            raise DimensionMismatchError(
+                "need one edge-weight and one distance vector per mode"
             )
-            if mode.edge_weights.size != z.size:
-                raise DimensionMismatchError(
-                    "mode edge_weights do not match its node count"
-                )
-            h2 += graph_objective(
-                mode.edge_weights, z, config.beta, config.gamma
-            )
+        for w, z in zip(edge_w, zs):
+            h2 += graph_objective(w, z, config.beta, config.gamma)
     return h1 + h2

@@ -29,9 +29,8 @@ from .core import (
 )
 from .errors import DegenerateModeError
 from .graph_learner import learn_graph_batch
-from .graph_ops import EdgeIndexing, densify, geodesic_update, pairwise_distances
+from .graph_ops import densify, geodesic_update, n_edges, pairwise_distances
 from .spectral import (
-    SpectralModeSet,
     crop_mirrored,
     frequency_grid,
     mean_frequency,
@@ -86,8 +85,8 @@ def decompose(
     g_hat = np.zeros((k, n, len(omega_grid)), dtype=complex)
     lam_hat = np.zeros((n, len(omega_grid)), dtype=complex)
     omegas = _initial_omegas(config, x_hat, omega_grid, t_ext)
-    indexing = EdgeIndexing(n)
-    edge_w = np.zeros((k, indexing.n_edges))
+    edge_w = np.zeros((k, n_edges(n)))
+    zs = None
 
     def to_time(spectra):
         series = np.fft.irfft(spectra, n=t_ext, axis=-1)
@@ -151,8 +150,6 @@ def decompose(
             )
             # (6) back to the spectral domain
             g_hat = to_spectra(smoothed)
-        else:
-            smoothed = None
 
         # (7) dual ascent
         if config.tau != 0.0:
@@ -163,32 +160,14 @@ def decompose(
         prev = np.sum(np.abs(g_prev) ** 2, axis=2)
         rel_change = float(np.sum(diff / (prev + _EPS)))
 
-        modes_time = smoothed if smoothed is not None else to_time(g_hat)
-        snapshot_modes = [
-            GraphMode(
-                mode_samples=modes_time[mode],
-                center_freq_hz=float(omegas[mode] * fs),
-                edge_weights=edge_w[mode] if config.beta > 0 else np.empty(0),
-            )
-            for mode in range(k)
-        ]
-        objective = objective_value(
-            SpectralModeSet(
-                mode_spectra=g_hat,
-                dual_spectra=lam_hat,
-                omegas=np.clip(omegas, 0.0, 0.5),
-                t_ext=t_ext,
-            ),
-            snapshot_modes,
-            signal,
-            config,
-        )
         trace.append(
             IterationSnapshot(
                 iteration=iteration,
                 rel_change=rel_change,
                 omegas=tuple(float(o) for o in omegas),
-                objective=objective,
+                objective=objective_value(
+                    g_hat, lam_hat, omegas, x_hat, t, config, edge_w, zs
+                ),
             )
         )
         if rel_change < config.epsilon:

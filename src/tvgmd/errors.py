@@ -13,10 +13,6 @@ class BadDimensionsError(TvgmdError):
     """Input matrix is too small or has the wrong shape."""
 
 
-class BadLengthError(TvgmdError):
-    """A time series is too short to transform."""
-
-
 class BadParameterError(TvgmdError):
     """A configuration parameter is out of its valid range."""
 

@@ -15,12 +15,11 @@ barrier (dual, in degree space).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, NotConvergedWarning
-from .graph_ops import EdgeIndexing, nodes_from_edge_count
+from .graph_ops import EdgeIndexing, apply_Q, nodes_from_edge_count
 
 _TINY = np.finfo(float).tiny
 
@@ -35,24 +34,6 @@ def fbf_step_size(gamma: float, n_nodes: int) -> float:
     return 0.9 / (2.0 * gamma + np.sqrt(2.0 * (n_nodes - 1)))
 
 
-@dataclass
-class LearnerState:
-    """Iteration state: primal edge weights and degree-space dual."""
-
-    w: np.ndarray
-    d: np.ndarray
-    iteration: int
-    delta: float
-
-    @classmethod
-    def initial(
-        cls, n_edges: int, gamma: float, w_init: np.ndarray | None = None
-    ) -> "LearnerState":
-        w = np.zeros(n_edges) if w_init is None else np.asarray(w_init, float)
-        n = nodes_from_edge_count(n_edges)
-        return cls(w=w, d=np.ones(n), iteration=0, delta=fbf_step_size(gamma, n))
-
-
 def graph_objective(
     w: np.ndarray, z: np.ndarray, beta: float, gamma: float
 ) -> float:
@@ -65,9 +46,7 @@ def graph_objective(
     z = np.asarray(z, dtype=float)
     if w.shape != z.shape:
         raise DimensionMismatchError("w and z must have the same length")
-    idx = EdgeIndexing(nodes_from_edge_count(w.shape[0]))
-    degrees = np.bincount(idx.rows, weights=w, minlength=idx.n_nodes)
-    degrees += np.bincount(idx.cols, weights=w, minlength=idx.n_nodes)
+    degrees = apply_Q(w)
     if np.any(degrees <= 0.0):
         return float("inf")
     return float(

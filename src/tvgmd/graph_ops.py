@@ -53,10 +53,6 @@ class EdgeIndexing:
         object.__setattr__(self, "cols", ju)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.rows)
-
-    @property
     def pairs(self) -> np.ndarray:
         """(M, 2) array of node index pairs, row-major upper-triangular."""
         return np.column_stack([self.rows, self.cols])

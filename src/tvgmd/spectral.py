@@ -1,9 +1,9 @@
-"""Frequency-domain machinery on the nonnegative half-spectrum.
+"""Array kernels of the spectral sweep on the nonnegative half-spectrum.
 
 Real signals are represented by their nonnegative-frequency bins only
-(the usual analytic-signal device); the time series is recovered through
-the conjugate-symmetric inverse transform. Frequencies are normalized to
-cycles per sample, so the grid spans [0, 0.5].
+(the ``np.fft.rfft`` layout, last axis); the time series is recovered with
+the conjugate-symmetric inverse ``np.fft.irfft``. Frequencies are
+normalized to cycles per sample, so the grid spans [0, 0.5].
 
 Boundary handling: before transforming, a series of length T may be
 extended to length 2T by reflecting its first half before the start and
@@ -14,17 +14,9 @@ T samples after the inverse transform undoes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import (
-    BadLengthError,
-    DegenerateModeError,
-    DimensionMismatchError,
-    NonFiniteInputError,
-)
+from .errors import DegenerateModeError, DimensionMismatchError
 
 
 def mirror_extend(series: np.ndarray) -> np.ndarray:
@@ -54,181 +46,29 @@ def frequency_grid(t_ext: int) -> np.ndarray:
     return np.arange(t_ext // 2 + 1) / t_ext
 
 
-@dataclass(frozen=True)
-class HalfSpectrum:
-    """Nonnegative-frequency bins of a real series of (extended) length t_ext."""
-
-    bins: np.ndarray
-    t_ext: int
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=complex)
-        object.__setattr__(self, "bins", bins)
-        if bins.ndim != 1 or len(bins) != self.t_ext // 2 + 1:
-            raise DimensionMismatchError(
-                f"expected {self.t_ext // 2 + 1} bins for t_ext={self.t_ext}, "
-                f"got {bins.shape}"
-            )
-        if not np.all(np.isfinite(bins)):
-            raise NonFiniteInputError("spectrum contains non-finite bins")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return frequency_grid(self.t_ext)
-
-
-def to_half_spectrum(series: np.ndarray, mirror: bool = True) -> HalfSpectrum:
-    """Forward transform of one real series to its nonnegative-frequency bins.
-
-    Parameters
-    ----------
-    series : np.ndarray
-        Real 1-D series of length >= 4.
-    mirror : bool
-        Apply the boundary reflection before transforming.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError("series must be one-dimensional")
-    if x.shape[0] < 4:
-        raise BadLengthError("series must have at least 4 samples")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("series contains non-finite samples")
-    if mirror:
-        x = mirror_extend(x)
-    return HalfSpectrum(bins=np.fft.rfft(x), t_ext=x.shape[0])
-
-
-def from_half_spectrum(
-    spec: HalfSpectrum, t_original: int, mirror: bool = True
-) -> np.ndarray:
-    """Inverse of :func:`to_half_spectrum`: real series of length t_original."""
-    expected = 2 * t_original if mirror else t_original
-    if spec.t_ext != expected:
-        raise DimensionMismatchError(
-            f"spectrum was computed from length {spec.t_ext}, expected {expected}"
-        )
-    x = np.fft.irfft(spec.bins, n=spec.t_ext)
-    return crop_mirrored(x, t_original) if mirror else x
-
-
 def wiener_weights(
     omega_grid: np.ndarray, omega_k: float, alpha: float
 ) -> np.ndarray:
-    """Per-bin gain ``1 / (1 + 2*alpha*(omega - omega_k)^2)``."""
-    return 1.0 / (1.0 + 2.0 * alpha * (omega_grid - omega_k) ** 2)
+    """Per-bin gain ``1 / (1 + 2*alpha*(omega - omega_k)^2)``.
 
-
-def update_mode_spectrum(
-    x_hat: HalfSpectrum,
-    other_modes_sum: HalfSpectrum,
-    lambda_hat: HalfSpectrum,
-    omega_k: float,
-    alpha: float,
-) -> HalfSpectrum:
-    """Minimizing update of one mode's spectrum at a fixed center frequency.
-
-    Per bin, the returned value minimizes
-    ``2*alpha*(omega - omega_k)^2 |g|^2 + |num - g|^2`` where ``num`` is the
-    input spectrum minus the other modes' spectra plus half the dual, i.e.
-    it is ``num / (1 + 2*alpha*(omega - omega_k)^2)``.
+    Times the numerator ``x_hat - (sum of the other modes) + lambda_hat/2``
+    it is one mode's update: per bin, the minimizer of
+    ``2*alpha*(omega - omega_k)^2 |g|^2 + |num - g|^2``.
     """
-    _require_same_grid(x_hat, other_modes_sum, lambda_hat)
-    num = x_hat.bins - other_modes_sum.bins + lambda_hat.bins / 2.0
-    gains = wiener_weights(x_hat.frequencies, omega_k, alpha)
-    return HalfSpectrum(bins=num * gains, t_ext=x_hat.t_ext)
+    return 1.0 / (1.0 + 2.0 * alpha * (omega_grid - omega_k) ** 2)
 
 
 def mean_frequency(power: np.ndarray, omega_grid: np.ndarray) -> float:
     """Power-weighted mean of the frequency grid; power may be any shape
-    whose last axis matches the grid."""
+    whose last axis matches the grid.
+
+    Raises :class:`DegenerateModeError` when all power is zero; the
+    decomposer keeps the previous center in that case.
+    """
     total = float(power.sum())
     if total <= 0.0:
         raise DegenerateModeError("all-zero spectra have no center frequency")
     return float((power.sum(axis=tuple(range(power.ndim - 1))) @ omega_grid) / total)
-
-
-def update_center_frequency(mode_spectra_row: Sequence[HalfSpectrum]) -> float:
-    """Center frequency of one mode: power-weighted mean frequency over all
-    of the mode's per-node spectra (nonnegative bins only).
-
-    Raises :class:`DegenerateModeError` when every spectrum is identically
-    zero; the caller keeps the previous value in that case.
-    """
-    if len(mode_spectra_row) == 0:
-        raise DimensionMismatchError("need at least one spectrum")
-    first = mode_spectra_row[0]
-    for s in mode_spectra_row[1:]:
-        _require_same_grid(first, s)
-    power = np.stack([np.abs(s.bins) ** 2 for s in mode_spectra_row])
-    return mean_frequency(power, first.frequencies)
-
-
-def update_duals(
-    x_hats: Sequence[HalfSpectrum],
-    mode_spectra: Sequence[Sequence[HalfSpectrum]],
-    dual_spectra: Sequence[HalfSpectrum],
-    tau: float,
-) -> list[HalfSpectrum]:
-    """Dual ascent, per node: ``lambda += tau * (x_hat - sum_k g_hat_k)``."""
-    n = len(x_hats)
-    if len(dual_spectra) != n or any(len(row) != n for row in mode_spectra):
-        raise DimensionMismatchError("node counts disagree")
-    out = []
-    for node in range(n):
-        _require_same_grid(x_hats[node], dual_spectra[node])
-        total = np.zeros_like(x_hats[node].bins)
-        for row in mode_spectra:
-            _require_same_grid(x_hats[node], row[node])
-            total = total + row[node].bins
-        bins = dual_spectra[node].bins + tau * (x_hats[node].bins - total)
-        out.append(HalfSpectrum(bins=bins, t_ext=x_hats[node].t_ext))
-    return out
-
-
-@dataclass(frozen=True)
-class SpectralModeSet:
-    """All mode spectra of a decomposition state, plus duals and centers.
-
-    ``mode_spectra`` is a (K, N, F) complex array, ``dual_spectra`` (N, F),
-    ``omegas`` the K normalized center frequencies in [0, 0.5].
-    """
-
-    mode_spectra: np.ndarray
-    dual_spectra: np.ndarray
-    omegas: np.ndarray
-    t_ext: int
-
-    def __post_init__(self):
-        ms = np.asarray(self.mode_spectra, dtype=complex)
-        ds = np.asarray(self.dual_spectra, dtype=complex)
-        om = np.asarray(self.omegas, dtype=float)
-        object.__setattr__(self, "mode_spectra", ms)
-        object.__setattr__(self, "dual_spectra", ds)
-        object.__setattr__(self, "omegas", om)
-        f = self.t_ext // 2 + 1
-        if ms.ndim != 3 or ms.shape[2] != f:
-            raise DimensionMismatchError("mode_spectra must be (K, N, F)")
-        if ds.shape != ms.shape[1:]:
-            raise DimensionMismatchError("dual_spectra must be (N, F)")
-        if om.shape != (ms.shape[0],):
-            raise DimensionMismatchError("omegas must have one entry per mode")
-        if np.any((om < 0.0) | (om > 0.5)):
-            raise DimensionMismatchError("omegas must lie in [0, 0.5]")
-
-    @property
-    def n_modes(self) -> int:
-        return self.mode_spectra.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.mode_spectra.shape[1]
-
-    def spectrum(self, k: int, n: int) -> HalfSpectrum:
-        return HalfSpectrum(bins=self.mode_spectra[k, n], t_ext=self.t_ext)
-
-    def dual(self, n: int) -> HalfSpectrum:
-        return HalfSpectrum(bins=self.dual_spectra[n], t_ext=self.t_ext)
 
 
 def parseval_weights(t_ext: int) -> np.ndarray:
@@ -240,16 +80,3 @@ def parseval_weights(t_ext: int) -> np.ndarray:
     if t_ext % 2 == 0:
         weights[-1] = 1.0
     return weights
-
-
-def half_spectrum_energy(bins: np.ndarray, t_ext: int) -> float:
-    """Time-domain energy ``sum_t x(t)^2`` from half-spectrum bins; leading
-    axes (nodes, modes) are summed over."""
-    p = np.abs(np.asarray(bins)) ** 2
-    return float((p @ parseval_weights(t_ext)).sum() / t_ext)
-
-
-def _require_same_grid(first: HalfSpectrum, *rest: HalfSpectrum) -> None:
-    for s in rest:
-        if s.t_ext != first.t_ext or len(s.bins) != len(first.bins):
-            raise DimensionMismatchError("spectra are not on the same grid")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvgmd.cli import main
-from tvgmd.io_formats import read_matrix_csv, read_summary_json
+from tvgmd.io_formats import read_matrix_csv, read_summary_json, write_matrix_csv
 
 FS_PRESET = "512"
 
@@ -182,6 +182,17 @@ class TestInspectCommand:
         assert len(spectra) == 2
         table = read_matrix_csv(spectra[0])
         assert table.shape == (257, 4)  # F bins x (freq + 3 nodes)
+
+    def test_all_zero_mode_has_zero_concentration(self, tmp_path, small_signal,
+                                                  capsys):
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        mode_path = run_dir / "mode_1.csv"
+        write_matrix_csv(mode_path, np.zeros(read_matrix_csv(mode_path).shape))
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir), "--edges"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        mode_1 = next(row for row in rows if row[:1] == ["1"])
+        assert mode_1[2] == "0.0000"
 
     def test_edges_listing(self, tmp_path, small_signal, capsys):
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")

@@ -16,7 +16,8 @@ from tvgmd.errors import (
     DimensionMismatchError,
     NonFiniteInputError,
 )
-from tvgmd.spectral import SpectralModeSet
+from tvgmd.graph_ops import pairwise_distances
+from tvgmd.spectral import mirror_extend
 
 rng = np.random.default_rng(3)
 
@@ -26,26 +27,19 @@ def make_signal(n=3, t=16, fill=None):
     return TimeVaryingGraphSignal(samples=samples, sample_rate_hz=100.0)
 
 
-def zero_spectra(k, n, t, mirror=True):
-    t_ext = 2 * t if mirror else t
-    f = t_ext // 2 + 1
-    return SpectralModeSet(
-        mode_spectra=np.zeros((k, n, f), dtype=complex),
-        dual_spectra=np.zeros((n, f), dtype=complex),
-        omegas=np.zeros(k),
-        t_ext=t_ext,
+def zero_state(k, n, t):
+    """Mode spectra, duals and centers of an all-zero decomposition on the
+    mirror-extended grid of length 2t."""
+    f = t + 1
+    return (
+        np.zeros((k, n, f), dtype=complex),
+        np.zeros((n, f), dtype=complex),
+        np.zeros(k),
     )
 
 
-def zero_modes(k, n, t, weights=None):
-    return [
-        GraphMode(
-            mode_samples=np.zeros((n, t)),
-            center_freq_hz=0.0,
-            edge_weights=np.empty(0) if weights is None else np.asarray(weights),
-        )
-        for _ in range(k)
-    ]
+def input_spectrum(signal):
+    return np.fft.rfft(mirror_extend(signal.samples), axis=1)
 
 
 class TestValidateConfig:
@@ -146,7 +140,7 @@ class TestObjectiveValue:
         signal = make_signal(n=3, t=16)
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0, tau=0.0)
         value = objective_value(
-            zero_spectra(2, 3, 16), zero_modes(2, 3, 16), signal, config
+            *zero_state(2, 3, 16), input_spectrum(signal), 16, config
         )
         assert value == pytest.approx(float(np.sum(signal.samples**2)), rel=1e-10)
 
@@ -154,29 +148,28 @@ class TestObjectiveValue:
         signal = make_signal(n=3, t=16, fill="zeros")
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0)
         value = objective_value(
-            zero_spectra(2, 3, 16), zero_modes(2, 3, 16), signal, config
+            *zero_state(2, 3, 16), input_spectrum(signal), 16, config
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_single_edge_graph_term(self):
         # zero signal and spectra isolate the graph part:
         # 2*beta*w'z + gamma*w^2 - 2 log(degree) = 0 + 1 - 0 = 1
-        signal = TimeVaryingGraphSignal(
-            samples=np.zeros((2, 8)), sample_rate_hz=1.0
-        )
         config = DecompositionConfig(K=1, alpha=5.0, beta=1.0, gamma=1.0)
-        modes = zero_modes(1, 2, 8, weights=[1.0])
-        value = objective_value(zero_spectra(1, 2, 8), modes, signal, config)
+        g_hat, lam_hat, omegas = zero_state(1, 2, 8)
+        value = objective_value(
+            g_hat, lam_hat, omegas, lam_hat, 8, config,
+            edge_w=np.array([[1.0]]), zs=np.zeros((1, 1)),
+        )
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_degree_maps_to_infinity(self):
-        signal = TimeVaryingGraphSignal(
-            samples=np.zeros((3, 8)), sample_rate_hz=1.0
-        )
         config = DecompositionConfig(K=1, alpha=5.0, beta=1.0, gamma=1.0)
-        modes = zero_modes(1, 3, 8, weights=[0.0, 0.0, 1.0])  # node 0 isolated
+        g_hat, lam_hat, omegas = zero_state(1, 3, 8)
+        edge_w = np.array([[0.0, 0.0, 1.0]])  # node 0 isolated
         assert objective_value(
-            zero_spectra(1, 3, 8), modes, signal, config
+            g_hat, lam_hat, omegas, lam_hat, 8, config,
+            edge_w=edge_w, zs=np.zeros((1, 3)),
         ) == np.inf
 
     def test_invariant_to_mode_order(self):
@@ -186,33 +179,32 @@ class TestObjectiveValue:
         r = np.random.default_rng(5)
         spectra_a = r.standard_normal((2, 3, f)) * (1 + 1j)
         duals = r.standard_normal((3, f)) * (1 - 0.5j)
-        modes = [
-            GraphMode(
-                mode_samples=r.standard_normal((3, 16)),
-                center_freq_hz=float(k),
-                edge_weights=r.random(3) + 0.1,
-            )
-            for k in range(2)
-        ]
+        zs = np.stack(
+            [pairwise_distances(r.standard_normal((3, 16))) for _ in range(2)]
+        )
+        edge_w = r.random((2, 3)) + 0.1
         omegas = np.array([0.1, 0.3])
+        x_hat = input_spectrum(signal)
 
         def value(order):
-            spec = SpectralModeSet(
-                mode_spectra=spectra_a[list(order)],
-                dual_spectra=duals,
-                omegas=omegas[list(order)],
-                t_ext=32,
-            )
+            order = list(order)
             return objective_value(
-                spec, [modes[i] for i in order], signal, config
+                spectra_a[order], duals, omegas[order], x_hat, 16, config,
+                edge_w=edge_w[order], zs=zs[order],
             )
 
         assert value((0, 1)) == pytest.approx(value((1, 0)), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         signal = make_signal(n=3, t=16)
+        x_hat = input_spectrum(signal)
+        g_hat, lam_hat, _ = zero_state(1, 3, 16)
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0)
         with pytest.raises(DimensionMismatchError):
+            objective_value(g_hat, lam_hat, np.zeros(2), x_hat, 16, config)
+        graph_config = DecompositionConfig(K=1, alpha=5.0, beta=1.0)
+        with pytest.raises(DimensionMismatchError):
             objective_value(
-                zero_spectra(1, 3, 16), zero_modes(2, 3, 16), signal, config
+                g_hat, lam_hat, np.zeros(1), x_hat, 16, graph_config,
+                edge_w=np.ones((1, 3)), zs=None,
             )

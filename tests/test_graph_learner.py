@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tvgmd.errors import DegenerateInputError, NotConvergedWarning
 from tvgmd.graph_learner import (
-    LearnerState,
     fbf_step_size,
     graph_objective,
     learn_graph,
@@ -94,13 +93,6 @@ class TestInvariances:
             for gamma in (0.1, 1.0, 10.0):
                 mu = 2 * gamma + np.sqrt(2 * (n - 1))
                 assert 0 < fbf_step_size(gamma, n) < 1 / mu
-
-    def test_initial_state_dimensions(self):
-        state = LearnerState.initial(n_edges(6), gamma=1.0)
-        assert state.w.shape == (15,)
-        assert state.d.shape == (6,)
-        assert state.iteration == 0
-        assert state.delta == fbf_step_size(1.0, 6)
 
 
 class TestObjective:

@@ -3,46 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
+from tvgmd.decomposer import decompose
 from tvgmd.errors import (
-    BadLengthError,
+    BadDimensionsError,
     DegenerateModeError,
     DimensionMismatchError,
 )
 from tvgmd.spectral import (
-    HalfSpectrum,
     crop_mirrored,
     frequency_grid,
-    from_half_spectrum,
-    half_spectrum_energy,
+    mean_frequency,
     mirror_extend,
-    to_half_spectrum,
-    update_center_frequency,
-    update_duals,
-    update_mode_spectrum,
+    parseval_weights,
     wiener_weights,
 )
 
 rng = np.random.default_rng(7)
 
 
-def random_spectrum(n_bins, t_ext, seed=None):
+def random_spectrum(n_bins, seed=None):
     r = np.random.default_rng(seed)
-    bins = r.standard_normal(n_bins) + 1j * r.standard_normal(n_bins)
-    return HalfSpectrum(bins=bins, t_ext=t_ext)
+    return r.standard_normal(n_bins) + 1j * r.standard_normal(n_bins)
+
+
+def to_spectrum(series, mirror):
+    """Forward transform as the decomposer does it."""
+    return np.fft.rfft(mirror_extend(series) if mirror else series)
+
+
+def to_series(bins, t_len, mirror):
+    """Inverse of :func:`to_spectrum` for a series of length ``t_len``."""
+    series = np.fft.irfft(bins, n=2 * t_len if mirror else t_len)
+    return crop_mirrored(series, t_len) if mirror else series
 
 
 class TestTransforms:
     def test_constant_series_is_dc_only(self):
         c = 3.25
-        spec = to_half_spectrum(np.full(16, c), mirror=False)
-        assert spec.bins[0] == pytest.approx(c * 16)
-        assert np.allclose(spec.bins[1:], 0.0, atol=1e-12)
+        spec = to_spectrum(np.full(16, c), mirror=False)
+        assert spec[0] == pytest.approx(c * 16)
+        assert np.allclose(spec[1:], 0.0, atol=1e-12)
 
     def test_pure_cosine_hits_one_bin(self):
         t = np.arange(32)
         x = np.cos(2 * np.pi * 5 * t / 32)
-        spec = to_half_spectrum(x, mirror=False)
-        mags = np.abs(spec.bins)
+        mags = np.abs(to_spectrum(x, mirror=False))
         assert np.argmax(mags) == 5
         mags[5] = 0.0
         assert np.all(mags < 1e-10)
@@ -51,29 +57,30 @@ class TestTransforms:
     @pytest.mark.parametrize("t_len", [16, 17, 250])
     def test_roundtrip(self, mirror, t_len):
         x = rng.standard_normal(t_len)
-        spec = to_half_spectrum(x, mirror=mirror)
-        back = from_half_spectrum(spec, t_len, mirror=mirror)
+        back = to_series(to_spectrum(x, mirror), t_len, mirror)
         assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_dc_only_inverts_to_constant(self):
         bins = np.zeros(9, dtype=complex)
         bins[0] = 2.5 * 16
-        assert from_half_spectrum(
-            HalfSpectrum(bins=bins, t_ext=16), 16, mirror=False
-        ) == pytest.approx(np.full(16, 2.5))
+        assert to_series(bins, 16, mirror=False) == pytest.approx(np.full(16, 2.5))
 
     def test_zero_spectrum_inverts_to_zero(self):
-        spec = HalfSpectrum(bins=np.zeros(17, dtype=complex), t_ext=32)
-        assert np.array_equal(from_half_spectrum(spec, 16, mirror=True), np.zeros(16))
+        bins = np.zeros(17, dtype=complex)
+        assert np.array_equal(to_series(bins, 16, mirror=True), np.zeros(16))
 
     def test_short_series_rejected(self):
-        with pytest.raises(BadLengthError):
-            to_half_spectrum(np.ones(3))
+        # the spectral sweep is only entered through decompose, which
+        # refuses series too short to transform
+        signal = TimeVaryingGraphSignal(samples=np.ones((3, 3)), sample_rate_hz=1.0)
+        with pytest.raises(BadDimensionsError):
+            decompose(signal, DecompositionConfig(K=1, alpha=1.0))
 
     def test_inconsistent_lengths_rejected(self):
-        spec = to_half_spectrum(np.ones(16), mirror=True)
+        # an unextended series cannot be cropped back as a mirrored one
+        series = np.fft.irfft(to_spectrum(np.ones(16), mirror=False), n=16)
         with pytest.raises(DimensionMismatchError):
-            from_half_spectrum(spec, 16, mirror=False)
+            crop_mirrored(series, 16)
 
     def test_mirror_layout(self):
         ext = mirror_extend(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -92,20 +99,16 @@ class TestTransforms:
     )
     def test_parseval(self, t_len, seed):
         x = np.random.default_rng(seed).standard_normal(t_len)
-        spec = to_half_spectrum(x, mirror=False)
-        energy = half_spectrum_energy(spec.bins, spec.t_ext)
+        power = np.abs(to_spectrum(x, mirror=False)) ** 2
+        energy = float(power @ parseval_weights(t_len)) / t_len
         assert energy == pytest.approx(float(x @ x), rel=1e-10)
 
 
 class TestModeUpdate:
     def test_tiny_alpha_returns_numerator(self):
-        t_ext = 32
-        x_hat = random_spectrum(17, t_ext, seed=1)
-        others = random_spectrum(17, t_ext, seed=2)
-        lam = random_spectrum(17, t_ext, seed=3)
-        out = update_mode_spectrum(x_hat, others, lam, 0.25, alpha=1e-12)
-        numerator = x_hat.bins - others.bins + lam.bins / 2
-        assert np.allclose(out.bins, numerator, rtol=1e-9)
+        numerator = random_spectrum(17, seed=1)
+        out = numerator * wiener_weights(frequency_grid(32), 0.25, alpha=1e-12)
+        assert np.allclose(out, numerator, rtol=1e-9)
 
     def test_hand_value_one_third(self):
         # at a bin where 2*alpha*(omega - omega_k)^2 == 2, gain is 1/3
@@ -114,20 +117,14 @@ class TestModeUpdate:
         omega_k = 0.0
         target_bin = 4  # omega = 0.25
         alpha = 2.0 / (2.0 * grid[target_bin] ** 2)
-        bins = np.zeros(9, dtype=complex)
-        bins[target_bin] = 1.0 + 0.0j
-        zero = HalfSpectrum(bins=np.zeros(9, dtype=complex), t_ext=t_ext)
-        out = update_mode_spectrum(
-            HalfSpectrum(bins=bins, t_ext=t_ext), zero, zero, omega_k, alpha
-        )
-        assert out.bins[target_bin] == pytest.approx(1.0 / 3.0)
+        gains = wiener_weights(grid, omega_k, alpha)
+        assert gains[target_bin] == pytest.approx(1.0 / 3.0)
 
     def test_zero_numerator_gives_zero(self):
-        t_ext = 32
-        zero = HalfSpectrum(bins=np.zeros(17, dtype=complex), t_ext=t_ext)
-        spec = random_spectrum(17, t_ext, seed=9)
-        out = update_mode_spectrum(spec, spec, zero, 0.1, alpha=50.0)
-        assert np.allclose(out.bins, 0.0)
+        spec = random_spectrum(17, seed=9)
+        numerator = spec - spec  # x_hat equal to the other modes, no dual
+        out = numerator * wiener_weights(frequency_grid(32), 0.1, alpha=50.0)
+        assert np.allclose(out, 0.0)
 
     def test_minimizes_per_bin_quadratic(self):
         # independent oracle: treat the per-bin objective
@@ -135,15 +132,15 @@ class TestModeUpdate:
         # quadratic coefficients from point evaluations, minimize exactly
         t_ext = 62
         n_bins = 32
+        grid = frequency_grid(t_ext)
         for trial in range(8):
-            x_hat = random_spectrum(n_bins, t_ext, seed=100 + trial)
-            others = random_spectrum(n_bins, t_ext, seed=200 + trial)
-            lam = random_spectrum(n_bins, t_ext, seed=300 + trial)
+            x_hat = random_spectrum(n_bins, seed=100 + trial)
+            others = random_spectrum(n_bins, seed=200 + trial)
+            lam = random_spectrum(n_bins, seed=300 + trial)
             omega_k = float(np.random.default_rng(trial).random() * 0.5)
             alpha = 10.0 ** np.random.default_rng(trial).uniform(0, 3)
-            out = update_mode_spectrum(x_hat, others, lam, omega_k, alpha)
-            numerator = x_hat.bins - others.bins + lam.bins / 2
-            grid = frequency_grid(t_ext)
+            numerator = x_hat - others + lam / 2
+            out = numerator * wiener_weights(grid, omega_k, alpha)
             for f in range(n_bins):
                 c = 2.0 * alpha * (grid[f] - omega_k) ** 2
 
@@ -156,98 +153,49 @@ class TestModeUpdate:
                 b_re = (cost(-1, 0) - cost(1, 0)) / 4
                 b_im = (cost(0, -1) - cost(0, 1)) / 4
                 best = (b_re + 1j * b_im) / curvature
-                assert abs(out.bins[f] - best) <= 1e-9
+                assert abs(out[f] - best) <= 1e-9
 
 
 class TestCenterFrequency:
     def test_point_mass(self):
-        t_ext = 16
         bins = np.zeros(9, dtype=complex)
         bins[2] = 5.0  # omega = 2/16 = 0.125
-        assert update_center_frequency(
-            [HalfSpectrum(bins=bins, t_ext=t_ext)]
-        ) == pytest.approx(0.125)
+        power = np.abs(bins) ** 2
+        assert mean_frequency(power, frequency_grid(16)) == pytest.approx(0.125)
 
     def test_symmetric_pair_averages(self):
-        t_ext = 40
         bins = np.zeros(21, dtype=complex)
         bins[4] = 3.0  # omega = 0.1
         bins[12] = 3.0  # omega = 0.3
-        assert update_center_frequency(
-            [HalfSpectrum(bins=bins, t_ext=t_ext)]
-        ) == pytest.approx(0.2)
+        power = np.abs(bins) ** 2
+        assert mean_frequency(power, frequency_grid(40)) == pytest.approx(0.2)
 
     def test_matches_weighted_mean_oracle(self):
-        t_ext = 64
-        specs = [random_spectrum(33, t_ext, seed=s) for s in range(5)]
-        grid = frequency_grid(t_ext)
+        specs = [random_spectrum(33, seed=s) for s in range(5)]
+        grid = frequency_grid(64)
         num = den = 0.0
         for spec in specs:
             for f in range(33):
-                p = abs(spec.bins[f]) ** 2
+                p = abs(spec[f]) ** 2
                 num += grid[f] * p
                 den += p
-        assert update_center_frequency(specs) == pytest.approx(num / den, rel=1e-12)
+        power = np.abs(np.stack(specs)) ** 2
+        assert mean_frequency(power, grid) == pytest.approx(num / den, rel=1e-12)
 
     def test_all_zero_raises_degenerate(self):
-        spec = HalfSpectrum(bins=np.zeros(9, dtype=complex), t_ext=16)
         with pytest.raises(DegenerateModeError):
-            update_center_frequency([spec, spec])
+            mean_frequency(np.zeros((2, 9)), frequency_grid(16))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_contained_in_support(self, seed):
         r = np.random.default_rng(seed)
-        t_ext = 64
         bins = np.zeros(33, dtype=complex)
         support = r.choice(33, size=r.integers(1, 8), replace=False)
         bins[support] = r.standard_normal(len(support)) + 1j
-        grid = frequency_grid(t_ext)
-        omega = update_center_frequency([HalfSpectrum(bins=bins, t_ext=t_ext)])
+        grid = frequency_grid(64)
+        omega = mean_frequency(np.abs(bins) ** 2, grid)
         assert grid[support].min() - 1e-12 <= omega <= grid[support].max() + 1e-12
-
-
-class TestDuals:
-    def make_state(self, n=3, k=2, t_ext=32):
-        f = t_ext // 2 + 1
-        x_hats = [random_spectrum(f, t_ext, seed=10 + i) for i in range(n)]
-        modes = [
-            [random_spectrum(f, t_ext, seed=100 * row + i) for i in range(n)]
-            for row in range(1, k + 1)
-        ]
-        duals = [
-            HalfSpectrum(bins=np.zeros(f, dtype=complex), t_ext=t_ext)
-            for _ in range(n)
-        ]
-        return x_hats, modes, duals
-
-    def test_tau_zero_is_identity(self):
-        x_hats, modes, duals = self.make_state()
-        out = update_duals(x_hats, modes, duals, 0.0)
-        for before, after in zip(duals, out):
-            assert np.array_equal(before.bins, after.bins)
-
-    def test_tau_one_zero_modes(self):
-        x_hats, modes, duals = self.make_state()
-        zero_modes = [
-            [
-                HalfSpectrum(bins=np.zeros_like(s.bins), t_ext=s.t_ext)
-                for s in row
-            ]
-            for row in modes
-        ]
-        out = update_duals(x_hats, zero_modes, duals, 1.0)
-        for node, after in enumerate(out):
-            assert np.allclose(after.bins, x_hats[node].bins)
-
-    def test_two_steps_accumulate_linearly(self):
-        x_hats, modes, duals = self.make_state()
-        tau = 0.6
-        once = update_duals(x_hats, modes, duals, tau)
-        twice = update_duals(x_hats, modes, once, tau)
-        for node in range(len(x_hats)):
-            residual = x_hats[node].bins - sum(row[node].bins for row in modes)
-            assert np.allclose(twice[node].bins, 2 * tau * residual)
 
 
 class TestMirrorInvariance:
@@ -264,12 +212,10 @@ class TestMirrorInvariance:
 
         outputs = []
         for mirror in (False, True):
-            spec = to_half_spectrum(x, mirror=mirror)
-            zero = HalfSpectrum(
-                bins=np.zeros_like(spec.bins), t_ext=spec.t_ext
-            )
-            mode = update_mode_spectrum(spec, zero, zero, *gains_args)
-            outputs.append(from_half_spectrum(mode, t_len, mirror=mirror))
+            spec = to_spectrum(x, mirror)
+            grid = frequency_grid(2 * t_len if mirror else t_len)
+            mode = spec * wiener_weights(grid, *gains_args)
+            outputs.append(to_series(mode, t_len, mirror))
         middle_no, middle_yes = outputs[0][lo:hi], outputs[1][lo:hi]
         rel = np.linalg.norm(middle_no - middle_yes) / np.linalg.norm(middle_no)
         assert rel <= 1e-3
