@@ -294,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=False,
                        help="divide pairwise distances by their mean")
     p_dec.add_argument("--graph-max-iter", type=int, default=2000,
-                       help="graph learner iteration cap (default: 2000)")
+                       help="cap on graph learner Newton steps per solve "
+                            "(default: 2000)")
     p_dec.add_argument("--graph-epsilon", type=float, default=1e-5,
-                       help="graph learner tolerance (default: 1e-5)")
+                       help="graph learner KKT residual tolerance, relative "
+                            "to max(1, largest weight) (default: 1e-5)")
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
     p_dec.add_argument("--threads", default=None,

@@ -63,6 +63,10 @@ class DecompositionConfig:
     (0 disables all graph machinery); ``gamma`` penalizes large edge
     weights in the learned graphs; ``tau`` is the dual ascent step that
     enforces exact reconstruction (0 leaves slack for noise).
+    ``graph_max_iter`` caps the Newton steps of each graph solve and
+    ``graph_epsilon`` is its KKT residual tolerance, relative to
+    ``max(1, largest weight)``; a run in which any graph solve misses it
+    reports ``converged=False``.
     """
 
     K: int

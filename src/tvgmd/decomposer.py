@@ -6,7 +6,9 @@ modes' fresh spectra), the center-frequency updates, an inverse transform
 to the time domain, a graph-smoothing solve per mode against the previous
 iteration's graph, re-learning each mode's graph from its new pairwise
 distances, a forward transform back, and the dual ascent. The loop stops
-when the summed relative spectral change drops below the tolerance.
+when the summed relative spectral change drops below the tolerance; the run
+counts as converged only if, in addition, every graph solve in it met its
+own tolerance.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline.
@@ -67,8 +69,9 @@ def decompose(
 
     Returns the modes sorted by ascending center frequency, each carrying
     its learned edge weights (empty when ``beta = 0``), the residual, and
-    the per-iteration trace. If ``max_iter`` is reached first the result is
-    still returned with ``converged=False``.
+    the per-iteration trace. If ``max_iter`` is reached first, or any graph
+    solve stopped short of its tolerance, the result is still returned with
+    ``converged=False``.
     """
     validate_config(config, signal)
     x = signal.samples
@@ -97,6 +100,7 @@ def decompose(
 
     trace: list[IterationSnapshot] = []
     converged = False
+    graphs_solved = True
     iteration = 0
     while iteration < config.max_iter:
         iteration += 1
@@ -140,7 +144,7 @@ def decompose(
                     for mode in range(k)
                 ]
             )
-            edge_w, _, _ = learn_graph_batch(
+            edge_w, _, solved = learn_graph_batch(
                 zs,
                 config.beta,
                 config.gamma,
@@ -148,6 +152,7 @@ def decompose(
                 max_iter=config.graph_max_iter,
                 eps=config.graph_epsilon,
             )
+            graphs_solved &= bool(solved.all())
             # (6) back to the spectral domain
             g_hat = to_spectra(smoothed)
 
@@ -189,7 +194,7 @@ def decompose(
         modes=modes,
         residual=residual,
         iterations=iteration,
-        converged=converged,
+        converged=converged and graphs_solved,
         trace=tuple(trace),
     )
 

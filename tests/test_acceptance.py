@@ -1,8 +1,8 @@
 """Acceptance gate: every release-blocking criterion, one test each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion. The whole gate takes a couple of minutes; the noise
-study dominates.
+line per criterion. The whole gate takes under a minute; criterion 4's
+projected-gradient reference solver dominates.
 """
 
 import dataclasses
@@ -105,7 +105,7 @@ def test_criterion_2_connectivity_recovery(clean_preset_run):
     report(
         2,
         ok,
-        f"2 Hz internal/cross contrast {contrast:.1f} (need > 3); "
+        f"2 Hz internal/cross contrast {contrast:.3g} (need > 3); "
         f"24 Hz out-of-phase ratio {ratio:.4f} (need < 1/3)",
     )
 

@@ -117,6 +117,17 @@ class TestGraphPath:
         cross = [weights[(0, 3)], weights[(1, 3)], weights[(2, 3)]]
         assert min(in_group) > 3 * max(max(cross), 1e-12)
 
+    def test_capped_graph_solve_is_not_converged(self):
+        # one Newton step per solve is too few from the cold start, yet the
+        # outer stopping rule still fires; the run must not claim success
+        config = DecompositionConfig(
+            K=2, alpha=200.0, beta=0.1, graph_max_iter=1
+        )
+        result = decompose(two_tone_signal(), config)
+        assert result.trace[-1].rel_change < config.epsilon
+        assert result.iterations < config.max_iter
+        assert not result.converged
+
     def test_mvmd_is_exactly_beta_zero(self):
         config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
         a = decompose_mvmd(two_tone_signal(), config)

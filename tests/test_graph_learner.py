@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tvgmd.errors import DegenerateInputError, NotConvergedWarning
 from tvgmd.graph_learner import (
-    fbf_step_size,
     graph_objective,
     learn_graph,
     learn_graph_batch,
@@ -54,6 +53,20 @@ def projected_gradient_reference(z, beta, gamma, max_iter=200_000, tol=1e-13):
     return w
 
 
+def gradient(w, z, beta, gamma):
+    """Gradient of the learner objective, from the degree operator."""
+    return 2 * beta * z + 2 * gamma * w - apply_Q_transpose(1.0 / apply_Q(w))
+
+
+def assert_kkt(w, z, beta, gamma, tol):
+    """Optimality of ``min f(w) s.t. w >= 0``: zero gradient on positive
+    edges, nonnegative gradient on zero edges."""
+    assert np.all(w >= 0)
+    g = gradient(w, z, beta, gamma)
+    assert np.all(np.abs(g[w > 0]) <= tol), np.abs(g[w > 0]).max()
+    assert np.all(g[w == 0] >= -tol)
+
+
 def solve(z, beta=1.0, gamma=1.0, eps=1e-10, max_iter=100_000):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConvergedWarning)
@@ -87,12 +100,6 @@ class TestInvariances:
         w_a = solve(z, beta=0.8, gamma=1.2)
         w_b = solve(z / 2, beta=1.6, gamma=1.2)
         assert w_a == pytest.approx(w_b, abs=1e-6)
-
-    def test_step_size_respects_bound(self):
-        for n in range(2, 40):
-            for gamma in (0.1, 1.0, 10.0):
-                mu = 2 * gamma + np.sqrt(2 * (n - 1))
-                assert 0 < fbf_step_size(gamma, n) < 1 / mu
 
 
 class TestObjective:
@@ -133,20 +140,60 @@ class TestSolverProperties:
         assert np.all(w >= 0)
         assert np.all(apply_Q(w, n) > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31),
+        scale=st.floats(min_value=0.01, max_value=100.0),
+        beta=st.floats(min_value=0.01, max_value=3.0),
+        gamma=st.floats(min_value=0.1, max_value=3.0),
+    )
+    def test_solution_meets_kkt_conditions(self, n, seed, scale, beta, gamma):
+        z = np.random.default_rng(seed).random(n_edges(n)) * scale
+        w, _, converged = learn_graph_batch(
+            z[None, :], beta, gamma, np.zeros((1, len(z))), eps=1e-10
+        )
+        assert converged[0]
+        assert_kkt(w[0], z, beta, gamma, tol=1e-8)
+
+    def test_kkt_at_64_nodes(self):
+        # the Newton system is solved in node space: 64 x 64 here, where
+        # the edge-space system would be 2016 x 2016
+        z = np.random.default_rng(64).random(n_edges(64)) * 2
+        w, iters, converged = learn_graph_batch(
+            z[None, :], 1.0, 1.0, np.zeros((1, len(z))), eps=1e-10
+        )
+        assert converged[0] and iters[0] <= 50
+        assert np.any(w[0] == 0) and np.any(w[0] > 0)
+        assert_kkt(w[0], z, 1.0, 1.0, tol=1e-8)
+
     def test_objective_trend_non_increasing(self):
-        # the splitting iteration is not a strict descent method; allow a
-        # 1e-6 relative wobble on the sampled objective values
+        # a projected Newton method with an Armijo search descends at every
+        # step; the only increases it accepts are within 1e-13 relative
+        # rounding of f, near the optimum
         for seed in range(5):
             z = np.random.default_rng(seed).random(n_edges(5)) * 2
             values = []
-            for cap in range(10, 400, 10):
+            for cap in range(1, 40):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", NotConvergedWarning)
                     w = learn_graph(z, 1.0, 1.0, max_iter=cap, eps=1e-14)
                 values.append(graph_objective(w, z, 1.0, 1.0))
             values = np.array(values)
-            slack = 1e-6 * np.maximum(1.0, np.abs(values[:-1]))
+            slack = 1e-12 * np.maximum(1.0, np.abs(values[:-1]))
             assert np.all(np.diff(values) <= slack)
+
+    @pytest.mark.parametrize("z", [0.0, 0.4, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
+    def test_tight_tolerance_does_not_stall(self, z, beta, gamma):
+        # criterion 4's closed-form grid: at eps=1e-13 the Armijo decrease
+        # drops below the rounding of f before the KKT test fires, so steps
+        # must be judged on the residual instead of spinning to the cap
+        _, iters, converged = learn_graph_batch(
+            np.array([[z]]), beta, gamma, np.zeros((1, 1)),
+            max_iter=300_000, eps=1e-13,
+        )
+        assert converged[0] and iters[0] <= 50
 
     def test_larger_distance_never_larger_weight(self):
         others = np.array([0.5, 0.8])
@@ -176,8 +223,7 @@ class TestSolverProperties:
         assert w_warm[0] == pytest.approx(w_cold[0], abs=1e-7)
 
     def test_batch_rows_match_single_runs(self):
-        # same iterates up to the BLAS reduction order, which is shape
-        # dependent; agreement is to the last few ulps, not bit-exact
+        # every row is solved on its own, so a batch changes nothing
         zs = np.stack([rng.random(n_edges(5)) * 3 for _ in range(3)])
         batch, iters_b, _ = learn_graph_batch(
             zs, 0.7, 1.1, np.zeros_like(zs), max_iter=5000, eps=1e-8
@@ -192,7 +238,7 @@ class TestSolverProperties:
                 eps=1e-8,
             )
             assert iters_b[row] == iters_s[0]
-            assert batch[row] == pytest.approx(single[0], abs=1e-12)
+            assert np.array_equal(batch[row], single[0])
 
 
 class TestErrorsAndWarnings:
