@@ -182,15 +182,20 @@ def cmd_inspect(args) -> int:
     if not summary_path.exists():
         raise TvgmdError(f"{run_dir} does not contain summary.json")
     summary = read_summary_json(run_dir)
-    fs = float(summary.get("sample_rate_hz", 0.0))
-    centers = summary["center_freqs_hz"]
-    mirror = bool(summary["config"]["mirror_extend"])
+    try:
+        fs = float(summary.get("sample_rate_hz", 0.0))
+        centers = summary["center_freqs_hz"]
+        mirror = bool(summary["config"]["mirror_extend"])
+        converged, iterations = summary["converged"], summary["iterations"]
+    except KeyError as exc:
+        raise TvgmdError(f"summary.json: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TvgmdError(f"summary.json: {exc}") from None
     mode_paths = _mode_paths(run_dir)
     if not mode_paths:
         raise TvgmdError(f"{run_dir} contains no mode CSVs")
 
-    print(f"run: {run_dir}  converged={summary['converged']} "
-          f"iterations={summary['iterations']}")
+    print(f"run: {run_dir}  converged={converged} iterations={iterations}")
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
     for k, path in enumerate(mode_paths, start=1):
         mode = read_matrix_csv(path)

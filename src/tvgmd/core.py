@@ -18,7 +18,6 @@ from .errors import (
 )
 from .graph_ops import n_edges
 from .graph_learner import graph_objective
-from .spectral import frequency_grid, parseval_weights
 
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
 
@@ -195,55 +194,48 @@ def validate_config(
 
 
 def objective_value(
-    g_hat: np.ndarray,
-    lam_hat: np.ndarray,
+    g: np.ndarray,
+    lam: np.ndarray,
     omegas: np.ndarray,
-    x_hat: np.ndarray,
-    n_samples: int,
+    x: np.ndarray,
+    grid: np.ndarray,
+    weights: np.ndarray,
     config: DecompositionConfig,
     edge_w: np.ndarray | None = None,
     zs: np.ndarray | None = None,
 ) -> float:
     """Augmented-Lagrangian value of a decomposition state.
 
-    ``g_hat`` (K, N, F) holds the mode spectra, ``lam_hat`` (N, F) the
-    duals, ``omegas`` the K normalized centers and ``x_hat`` (N, F) the
-    input spectrum, all on the half-spectrum grid of the (mirror-extended
-    when ``config.mirror_extend``) input of ``n_samples`` samples per node.
-    When ``beta > 0``, ``edge_w`` and ``zs`` (K, M) are each mode's edge
-    weights and the pairwise distances of its node signals.
+    ``g`` (K, N, P) holds the mode coefficients, ``lam`` (N, P) the duals,
+    ``omegas`` the K normalized centers and ``x`` (N, P) the input
+    coefficients, all as :func:`~tvgmd.spectral.to_coefficients` lays them
+    out; ``grid`` and ``weights`` (P,) are the frequency of each
+    coefficient and its energy weight. When ``beta > 0``, ``edge_w`` and
+    ``zs`` (K, M) are each mode's edge weights and the pairwise distances
+    of its node signals.
 
     The spectral part sums, over modes and nodes, the bandwidth penalty
-    ``2*alpha*(omega - omega_k)^2 |g_hat|^2`` plus the reconstruction
-    quadratic and the dual inner product, all scaled so the reconstruction
-    term equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2`` on the
-    original (unextended) support. When ``beta > 0`` the graph part adds
-    ``2*beta*w'z + gamma*||w||^2 - 1'log(Qw)`` per mode, with any
+    ``2*alpha*(omega - omega_k)^2 g^2`` plus the reconstruction quadratic
+    and the dual inner product, each coefficient weighted by its energy
+    weight, so the reconstruction term equals the time-domain
+    ``sum_n ||x_n - sum_k g_n^k||^2``. When ``beta > 0`` the graph part
+    adds ``2*beta*w'z + gamma*||w||^2 - 1'log(Qw)`` per mode, with any
     nonpositive degree mapped to +inf. Monitoring only; the decomposition
     never branches on this value.
     """
-    t_ext = 2 * n_samples if config.mirror_extend else n_samples
-    freqs = frequency_grid(t_ext)
     if (
-        x_hat.shape[-1] != len(freqs)
-        or lam_hat.shape != x_hat.shape
-        or g_hat.shape != (len(omegas),) + x_hat.shape
+        x.shape[-1] != len(grid)
+        or weights.shape != grid.shape
+        or lam.shape != x.shape
+        or g.shape != (len(omegas),) + x.shape
     ):
-        raise DimensionMismatchError("spectra, duals and centers disagree")
-    weights = parseval_weights(t_ext)
-    scale = n_samples / t_ext / t_ext
+        raise DimensionMismatchError("coefficients, duals and centers disagree")
 
-    sq = (freqs[None, :] - omegas[:, None]) ** 2  # (K, F)
-    power = np.abs(g_hat) ** 2  # (K, N, F)
-    bandwidth = float(np.einsum("kf,knf,f->", sq, power, weights))
-    bandwidth *= 2.0 * config.alpha
-
-    resid_hat = x_hat - g_hat.sum(axis=0)
-    reconstruction = float(np.einsum("nf,f->", np.abs(resid_hat) ** 2, weights))
-    dual = float(
-        np.einsum("nf,f->", np.real(np.conj(lam_hat) * resid_hat), weights)
-    )
-    h1 = scale * (bandwidth + reconstruction + dual)
+    sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
+    bandwidth = float(np.sum((g**2).sum(axis=1) * sq * weights))
+    resid = x - g.sum(axis=0)
+    reconstruction_and_dual = float(np.sum((resid + lam) * resid * weights))
+    h1 = 2.0 * config.alpha * bandwidth + reconstruction_and_dual
 
     h2 = 0.0
     if config.beta > 0:

@@ -1,14 +1,19 @@
 """The outer block-coordinate loop joining spectral and graph updates.
 
-Each iteration sweeps, in order: per-mode per-node spectral updates at the
-current center frequencies (in place, so later modes see the earlier
-modes' fresh spectra), the center-frequency updates, an inverse transform
-to the time domain, a graph-smoothing solve per mode against the previous
-iteration's graph, re-learning each mode's graph from its new pairwise
-distances, a forward transform back, and the dual ascent. The loop stops
-when the summed relative spectral change drops below the tolerance; the run
-counts as converged only if, in addition, every graph solve in it met its
-own tolerance.
+The input is transformed once into real coefficients
+(:func:`~tvgmd.spectral.to_coefficients`) and the modes are transformed
+back once at the end; every step in between works on real ``(K, N, P)``
+arrays. Each iteration sweeps, in order: per-mode per-node spectral
+updates at the current center frequencies (in place, so later modes see
+the earlier modes' fresh spectra), the center-frequency updates, a
+graph-smoothing solve per mode against the previous iteration's graph,
+re-learning each mode's graph from its new pairwise distances, and the
+dual ascent. Smoothing mixes nodes and the transform runs along time, so
+the smoothing solve applies to the coefficient rows directly, and by
+Parseval the distances of the rows scaled by ``sqrt(weights)`` are the
+time-domain distances. The loop stops when the summed relative spectral
+change drops below the tolerance; the run counts as converged only if, in
+addition, every graph solve in it met its own tolerance.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline.
@@ -33,18 +38,17 @@ from .errors import DegenerateModeError
 from .graph_learner import learn_graph_batch
 from .graph_ops import densify, geodesic_update, n_edges, pairwise_distances
 from .spectral import (
-    crop_mirrored,
-    frequency_grid,
+    from_coefficients,
     mean_frequency,
-    mirror_extend,
+    to_coefficients,
     wiener_weights,
 )
 
 _EPS = np.finfo(float).eps
 
 
-def _initial_omegas(config: DecompositionConfig, x_hat: np.ndarray,
-                    omega_grid: np.ndarray, t_ext: int) -> np.ndarray:
+def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
+                    grid: np.ndarray, t_ext: int) -> np.ndarray:
     k = config.K
     if config.omega_init == "zeros":
         return np.zeros(k)
@@ -52,12 +56,15 @@ def _initial_omegas(config: DecompositionConfig, x_hat: np.ndarray,
         return 0.5 * (np.arange(k) + 1.0) / (k + 1.0)
     # peaks: strongest bins of the aggregate power spectrum, each pick
     # suppressing a small neighborhood so one lobe yields one mode.
-    power = (np.abs(x_hat) ** 2).sum(axis=0).copy()
+    power = (x_c**2).sum(axis=0)
+    if not config.mirror_extend:  # one bin per (re, im) pair
+        power = power.reshape(-1, 2).sum(axis=1)
+        grid = grid[::2]
     halfwidth = max(2, t_ext // 100)
     omegas = np.zeros(k)
     for i in range(k):
         top = int(np.argmax(power))
-        omegas[i] = omega_grid[top]
+        omegas[i] = grid[top]
         power[max(0, top - halfwidth) : top + halfwidth + 1] = 0.0
     return np.sort(omegas)
 
@@ -80,23 +87,14 @@ def decompose(
     k = config.K
     mirror = config.mirror_extend
 
-    x_ext = mirror_extend(x) if mirror else x
-    t_ext = x_ext.shape[1]
-    omega_grid = frequency_grid(t_ext)
-    x_hat = np.fft.rfft(x_ext, axis=1)
+    x_c, grid, weights = to_coefficients(x, mirror)
+    root_weights = np.sqrt(weights)
 
-    g_hat = np.zeros((k, n, len(omega_grid)), dtype=complex)
-    lam_hat = np.zeros((n, len(omega_grid)), dtype=complex)
-    omegas = _initial_omegas(config, x_hat, omega_grid, t_ext)
+    g = np.zeros((k,) + x_c.shape)
+    lam = np.zeros_like(x_c)
+    omegas = _initial_omegas(config, x_c, grid, 2 * t if mirror else t)
     edge_w = np.zeros((k, n_edges(n)))
     zs = None
-
-    def to_time(spectra):
-        series = np.fft.irfft(spectra, n=t_ext, axis=-1)
-        return crop_mirrored(series, t) if mirror else series
-
-    def to_spectra(series):
-        return np.fft.rfft(mirror_extend(series) if mirror else series, axis=-1)
 
     trace: list[IterationSnapshot] = []
     converged = False
@@ -104,42 +102,38 @@ def decompose(
     iteration = 0
     while iteration < config.max_iter:
         iteration += 1
-        g_prev = g_hat.copy()
+        g_prev = g.copy()
 
         # (1) spectral sweep, in place over k
-        running_sum = g_hat.sum(axis=0)
+        running_sum = g.sum(axis=0)
         for mode in range(k):
-            numerator = x_hat - (running_sum - g_hat[mode]) + lam_hat / 2.0
-            updated = numerator * wiener_weights(
-                omega_grid, omegas[mode], config.alpha
-            )
-            running_sum += updated - g_hat[mode]
-            g_hat[mode] = updated
+            numerator = x_c - (running_sum - g[mode]) + lam / 2.0
+            updated = numerator * wiener_weights(grid, omegas[mode], config.alpha)
+            running_sum += updated - g[mode]
+            g[mode] = updated
 
         # (2) center frequencies from the fresh spectra
         for mode in range(k):
             try:
-                omegas[mode] = mean_frequency(
-                    np.abs(g_hat[mode]) ** 2, omega_grid
-                )
+                omegas[mode] = mean_frequency(g[mode] ** 2, grid)
             except DegenerateModeError:
                 pass  # collapsed mode keeps its previous center
 
         if config.beta > 0:
-            # (3) to time domain, (4) smooth along the previous graphs
-            modes_time = to_time(g_hat)
+            # (3) smooth along the previous graphs
             graphs = [densify(edge_w[mode], n) for mode in range(k)]
-            smoothed = np.stack(
+            g = np.stack(
                 [
-                    geodesic_update(modes_time[mode], graphs[mode], config.beta)
+                    geodesic_update(g[mode], graphs[mode], config.beta)
                     for mode in range(k)
                 ]
             )
-            # (5) re-learn each mode's graph from its new distances
+            # (4) re-learn each mode's graph from its new distances
             zs = np.stack(
                 [
                     pairwise_distances(
-                        smoothed[mode], normalize=config.normalize_distances
+                        g[mode] * root_weights,
+                        normalize=config.normalize_distances,
                     )
                     for mode in range(k)
                 ]
@@ -153,16 +147,14 @@ def decompose(
                 eps=config.graph_epsilon,
             )
             graphs_solved &= bool(solved.all())
-            # (6) back to the spectral domain
-            g_hat = to_spectra(smoothed)
 
-        # (7) dual ascent
+        # (5) dual ascent
         if config.tau != 0.0:
-            lam_hat = lam_hat + config.tau * (x_hat - g_hat.sum(axis=0))
+            lam = lam + config.tau * (x_c - g.sum(axis=0))
 
-        # (8) convergence on the summed per-(mode, node) relative change
-        diff = np.sum(np.abs(g_hat - g_prev) ** 2, axis=2)
-        prev = np.sum(np.abs(g_prev) ** 2, axis=2)
+        # (6) convergence on the summed per-(mode, node) relative change
+        diff = np.sum((g - g_prev) ** 2, axis=2)
+        prev = np.sum(g_prev**2, axis=2)
         rel_change = float(np.sum(diff / (prev + _EPS)))
 
         trace.append(
@@ -171,7 +163,7 @@ def decompose(
                 rel_change=rel_change,
                 omegas=tuple(float(o) for o in omegas),
                 objective=objective_value(
-                    g_hat, lam_hat, omegas, x_hat, t, config, edge_w, zs
+                    g, lam, omegas, x_c, grid, weights, config, edge_w, zs
                 ),
             )
         )
@@ -179,7 +171,7 @@ def decompose(
             converged = True
             break
 
-    modes_time = to_time(g_hat)
+    modes_time = from_coefficients(g, t, mirror)
     order = np.argsort(omegas, kind="stable")
     modes = tuple(
         GraphMode(

@@ -9,6 +9,7 @@ every function in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,16 @@ def nodes_from_edge_count(m: int) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=16)
+def _triu_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangular index arrays for ``n_nodes``, built once per node
+    count and read-only, since every caller shares them."""
+    rows, cols = np.triu_indices(n_nodes, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class EdgeIndexing:
     """Bijection between edge positions and upper-triangular node pairs."""
@@ -48,9 +59,9 @@ class EdgeIndexing:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise DimensionMismatchError("a graph needs at least 2 nodes")
-        iu, ju = np.triu_indices(self.n_nodes, k=1)
-        object.__setattr__(self, "rows", iu)
-        object.__setattr__(self, "cols", ju)
+        rows, cols = _triu_pairs(self.n_nodes)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def pairs(self) -> np.ndarray:

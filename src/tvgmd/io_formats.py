@@ -62,8 +62,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def format_matrix_csv(matrix: np.ndarray) -> str:
-    rows = (",".join(f"{value:.17g}" for value in row) for row in matrix)
-    return "\n".join(rows) + "\n"
+    """One line per row, each value as ``%.17g``; one ``%`` per row."""
+    row_format = ",".join(["%.17g"] * matrix.shape[1])
+    return "\n".join(row_format % tuple(row) for row in matrix.tolist()) + "\n"
 
 
 def write_matrix_csv(path: str | os.PathLike, matrix: np.ndarray) -> Path:
@@ -211,5 +212,13 @@ def write_result(
 
 
 def read_summary_json(run_dir: str | os.PathLike) -> dict:
+    """Parse ``summary.json``; raises :class:`SignalParseError` when it is
+    not a JSON object."""
     with open(Path(run_dir) / "summary.json", "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            summary = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SignalParseError(f"summary.json: {exc}") from None
+    if not isinstance(summary, dict):
+        raise SignalParseError("summary.json: not a JSON object")
+    return summary

@@ -175,6 +175,30 @@ class TestInspectCommand:
         empty.mkdir()
         assert main(["inspect", "--run", str(empty)]) == 1
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda text: text[: len(text) // 2], "summary.json: "),
+            (lambda text: "[1, 2]", "summary.json: not a JSON object"),
+            (
+                lambda text: json.dumps(
+                    {k: v for k, v in json.loads(text).items()
+                     if k != "center_freqs_hz"}
+                ),
+                "summary.json: missing key 'center_freqs_hz'",
+            ),
+        ],
+        ids=["truncated", "not_an_object", "missing_key"],
+    )
+    def test_corrupt_summary_is_an_error(self, tmp_path, small_signal, capsys,
+                                         corrupt, message):
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        summary_path = run_dir / "summary.json"
+        summary_path.write_text(corrupt(summary_path.read_text()))
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_plot_data_shapes(self, tmp_path, small_signal):
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0

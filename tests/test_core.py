@@ -17,7 +17,7 @@ from tvgmd.errors import (
     NonFiniteInputError,
 )
 from tvgmd.graph_ops import pairwise_distances
-from tvgmd.spectral import mirror_extend
+from tvgmd.spectral import to_coefficients
 
 rng = np.random.default_rng(3)
 
@@ -28,18 +28,19 @@ def make_signal(n=3, t=16, fill=None):
 
 
 def zero_state(k, n, t):
-    """Mode spectra, duals and centers of an all-zero decomposition on the
-    mirror-extended grid of length 2t."""
-    f = t + 1
-    return (
-        np.zeros((k, n, f), dtype=complex),
-        np.zeros((n, f), dtype=complex),
-        np.zeros(k),
-    )
+    """Mode coefficients, duals and centers of an all-zero decomposition
+    of n series of length t (mirror-extended layout: t coefficients)."""
+    return np.zeros((k, n, t)), np.zeros((n, t)), np.zeros(k)
 
 
-def input_spectrum(signal):
-    return np.fft.rfft(mirror_extend(signal.samples), axis=1)
+def input_coefficients(signal):
+    """Input coefficients, grid and energy weights, as decompose makes them."""
+    return to_coefficients(signal.samples)
+
+
+def layout(t):
+    """Grid and energy weights of the mirror-extended layout for length t."""
+    return to_coefficients(np.zeros(t))[1:]
 
 
 class TestValidateConfig:
@@ -140,7 +141,7 @@ class TestObjectiveValue:
         signal = make_signal(n=3, t=16)
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0, tau=0.0)
         value = objective_value(
-            *zero_state(2, 3, 16), input_spectrum(signal), 16, config
+            *zero_state(2, 3, 16), *input_coefficients(signal), config
         )
         assert value == pytest.approx(float(np.sum(signal.samples**2)), rel=1e-10)
 
@@ -148,7 +149,7 @@ class TestObjectiveValue:
         signal = make_signal(n=3, t=16, fill="zeros")
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0)
         value = objective_value(
-            *zero_state(2, 3, 16), input_spectrum(signal), 16, config
+            *zero_state(2, 3, 16), *input_coefficients(signal), config
         )
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -156,55 +157,58 @@ class TestObjectiveValue:
         # zero signal and spectra isolate the graph part:
         # 2*beta*w'z + gamma*w^2 - 2 log(degree) = 0 + 1 - 0 = 1
         config = DecompositionConfig(K=1, alpha=5.0, beta=1.0, gamma=1.0)
-        g_hat, lam_hat, omegas = zero_state(1, 2, 8)
+        g, lam, omegas = zero_state(1, 2, 8)
         value = objective_value(
-            g_hat, lam_hat, omegas, lam_hat, 8, config,
+            g, lam, omegas, lam, *layout(8), config,
             edge_w=np.array([[1.0]]), zs=np.zeros((1, 1)),
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_degree_maps_to_infinity(self):
         config = DecompositionConfig(K=1, alpha=5.0, beta=1.0, gamma=1.0)
-        g_hat, lam_hat, omegas = zero_state(1, 3, 8)
+        g, lam, omegas = zero_state(1, 3, 8)
         edge_w = np.array([[0.0, 0.0, 1.0]])  # node 0 isolated
         assert objective_value(
-            g_hat, lam_hat, omegas, lam_hat, 8, config,
+            g, lam, omegas, lam, *layout(8), config,
             edge_w=edge_w, zs=np.zeros((1, 3)),
         ) == np.inf
 
     def test_invariant_to_mode_order(self):
         signal = make_signal(n=3, t=16)
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.5, gamma=1.0)
-        f = 16 + 1  # t_ext = 32
         r = np.random.default_rng(5)
-        spectra_a = r.standard_normal((2, 3, f)) * (1 + 1j)
-        duals = r.standard_normal((3, f)) * (1 - 0.5j)
+        coefficients = r.standard_normal((2, 3, 16))
+        duals = r.standard_normal((3, 16))
         zs = np.stack(
             [pairwise_distances(r.standard_normal((3, 16))) for _ in range(2)]
         )
         edge_w = r.random((2, 3)) + 0.1
         omegas = np.array([0.1, 0.3])
-        x_hat = input_spectrum(signal)
+        x_c, grid, weights = input_coefficients(signal)
 
         def value(order):
             order = list(order)
             return objective_value(
-                spectra_a[order], duals, omegas[order], x_hat, 16, config,
-                edge_w=edge_w[order], zs=zs[order],
+                coefficients[order], duals, omegas[order], x_c, grid, weights,
+                config, edge_w=edge_w[order], zs=zs[order],
             )
 
         assert value((0, 1)) == pytest.approx(value((1, 0)), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         signal = make_signal(n=3, t=16)
-        x_hat = input_spectrum(signal)
-        g_hat, lam_hat, _ = zero_state(1, 3, 16)
+        x_c, grid, weights = input_coefficients(signal)
+        g, lam, _ = zero_state(1, 3, 16)
         config = DecompositionConfig(K=2, alpha=5.0, beta=0.0)
         with pytest.raises(DimensionMismatchError):
-            objective_value(g_hat, lam_hat, np.zeros(2), x_hat, 16, config)
+            objective_value(g, lam, np.zeros(2), x_c, grid, weights, config)
+        with pytest.raises(DimensionMismatchError):
+            objective_value(
+                g, lam, np.zeros(1), x_c, grid[:-1], weights[:-1], config
+            )
         graph_config = DecompositionConfig(K=1, alpha=5.0, beta=1.0)
         with pytest.raises(DimensionMismatchError):
             objective_value(
-                g_hat, lam_hat, np.zeros(1), x_hat, 16, graph_config,
+                g, lam, np.zeros(1), x_c, grid, weights, graph_config,
                 edge_w=np.ones((1, 3)), zs=None,
             )

@@ -14,6 +14,7 @@ from tvgmd.errors import EmptyFileError, SignalParseError
 from tvgmd.graph_ops import densify
 from tvgmd.io_formats import (
     RunManifest,
+    format_matrix_csv,
     read_adjacency_json,
     read_matrix_csv,
     read_signal_csv,
@@ -100,6 +101,18 @@ class TestSignalCsv:
         write_signal_csv(path, signal)
         back = read_signal_csv(path, 3.5)
         assert np.array_equal(back.samples, samples)
+
+    def test_row_format_matches_per_value_reference(self):
+        # the per-value f-string is the reference; the production code
+        # formats each row with a single "%" operation
+        values = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-300, 300, (3, 7))
+        values[0, :5] = [-0.0, 5e-324, 1e308, -1e308, 0.0]
+        values[1, :4] = [1.0, -42.0, 2.0**53, 123456789.0]
+        for matrix in (values, values[:, :1], np.empty((2, 0))):
+            expected = "\n".join(
+                ",".join(f"{value:.17g}" for value in row) for row in matrix
+            ) + "\n"
+            assert format_matrix_csv(matrix) == expected
 
 
 class TestAdjacencyJson:

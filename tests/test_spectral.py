@@ -11,11 +11,11 @@ from tvgmd.errors import (
     DimensionMismatchError,
 )
 from tvgmd.spectral import (
-    crop_mirrored,
     frequency_grid,
+    from_coefficients,
     mean_frequency,
     mirror_extend,
-    parseval_weights,
+    to_coefficients,
     wiener_weights,
 )
 
@@ -27,28 +27,22 @@ def random_spectrum(n_bins, seed=None):
     return r.standard_normal(n_bins) + 1j * r.standard_normal(n_bins)
 
 
-def to_spectrum(series, mirror):
-    """Forward transform as the decomposer does it."""
-    return np.fft.rfft(mirror_extend(series) if mirror else series)
-
-
-def to_series(bins, t_len, mirror):
-    """Inverse of :func:`to_spectrum` for a series of length ``t_len``."""
-    series = np.fft.irfft(bins, n=2 * t_len if mirror else t_len)
-    return crop_mirrored(series, t_len) if mirror else series
+def bin_magnitudes(coefficients):
+    """Magnitude per rfft bin of the unmirrored (re, im) layout."""
+    return np.hypot(coefficients[0::2], coefficients[1::2])
 
 
 class TestTransforms:
     def test_constant_series_is_dc_only(self):
         c = 3.25
-        spec = to_spectrum(np.full(16, c), mirror=False)
-        assert spec[0] == pytest.approx(c * 16)
-        assert np.allclose(spec[1:], 0.0, atol=1e-12)
+        coefficients, _, _ = to_coefficients(np.full(16, c), mirror=False)
+        assert coefficients[0] == pytest.approx(c * 16)
+        assert np.allclose(coefficients[1:], 0.0, atol=1e-12)
 
     def test_pure_cosine_hits_one_bin(self):
         t = np.arange(32)
         x = np.cos(2 * np.pi * 5 * t / 32)
-        mags = np.abs(to_spectrum(x, mirror=False))
+        mags = bin_magnitudes(to_coefficients(x, mirror=False)[0])
         assert np.argmax(mags) == 5
         mags[5] = 0.0
         assert np.all(mags < 1e-10)
@@ -56,18 +50,21 @@ class TestTransforms:
     @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("t_len", [16, 17, 250])
     def test_roundtrip(self, mirror, t_len):
-        x = rng.standard_normal(t_len)
-        back = to_series(to_spectrum(x, mirror), t_len, mirror)
+        x = rng.standard_normal((2, t_len))
+        coefficients, grid, weights = to_coefficients(x, mirror)
+        assert coefficients.shape[-1] == len(grid) == len(weights)
+        back = from_coefficients(coefficients, t_len, mirror)
         assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_dc_only_inverts_to_constant(self):
-        bins = np.zeros(9, dtype=complex)
-        bins[0] = 2.5 * 16
-        assert to_series(bins, 16, mirror=False) == pytest.approx(np.full(16, 2.5))
+        coefficients = np.zeros(18)
+        coefficients[0] = 2.5 * 16
+        back = from_coefficients(coefficients, 16, mirror=False)
+        assert back == pytest.approx(np.full(16, 2.5))
 
     def test_zero_spectrum_inverts_to_zero(self):
-        bins = np.zeros(17, dtype=complex)
-        assert np.array_equal(to_series(bins, 16, mirror=True), np.zeros(16))
+        back = from_coefficients(np.zeros(16), 16, mirror=True)
+        assert np.array_equal(back, np.zeros(16))
 
     def test_short_series_rejected(self):
         # the spectral sweep is only entered through decompose, which
@@ -77,30 +74,44 @@ class TestTransforms:
             decompose(signal, DecompositionConfig(K=1, alpha=1.0))
 
     def test_inconsistent_lengths_rejected(self):
-        # an unextended series cannot be cropped back as a mirrored one
-        series = np.fft.irfft(to_spectrum(np.ones(16), mirror=False), n=16)
+        # unmirrored coefficients cannot be inverted as mirrored ones
+        coefficients, _, _ = to_coefficients(np.ones(16), mirror=False)
         with pytest.raises(DimensionMismatchError):
-            crop_mirrored(series, 16)
+            from_coefficients(coefficients, 16, mirror=True)
 
     def test_mirror_layout(self):
         ext = mirror_extend(np.array([0.0, 1.0, 2.0, 3.0]))
         assert np.array_equal(ext, [1, 0, 0, 1, 2, 3, 3, 2])
-        assert np.array_equal(crop_mirrored(ext, 4), [0, 1, 2, 3])
 
     def test_mirror_odd_length(self):
         ext = mirror_extend(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
         assert len(ext) == 10
-        assert np.array_equal(crop_mirrored(ext, 5), [0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize("t_len", [8, 9, 64])
+    def test_coefficients_match_mirrored_fft(self, t_len):
+        # DCT-II by its definition, and |c_j| equals bin j of the
+        # mirror-extended FFT, whose bin T vanishes
+        x = rng.standard_normal((3, t_len))
+        coefficients, grid, _ = to_coefficients(x, mirror=True)
+        n = np.arange(t_len)
+        basis = 2.0 * np.cos(np.pi * np.outer(n, 2 * n + 1) / (2 * t_len))
+        assert np.allclose(coefficients, x @ basis.T, rtol=0, atol=1e-12)
+        spectrum = np.fft.rfft(mirror_extend(x))
+        assert np.allclose(np.abs(coefficients), np.abs(spectrum[:, :t_len]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(spectrum[:, t_len], 0.0, atol=1e-12)
+        assert np.array_equal(grid, frequency_grid(2 * t_len)[:t_len])
 
     @settings(max_examples=50, deadline=None)
     @given(
         t_len=st.integers(min_value=4, max_value=200),
+        mirror=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_parseval(self, t_len, seed):
+    def test_parseval(self, t_len, mirror, seed):
         x = np.random.default_rng(seed).standard_normal(t_len)
-        power = np.abs(to_spectrum(x, mirror=False)) ** 2
-        energy = float(power @ parseval_weights(t_len)) / t_len
+        coefficients, _, weights = to_coefficients(x, mirror)
+        energy = float(weights @ coefficients**2)
         assert energy == pytest.approx(float(x @ x), rel=1e-10)
 
 
@@ -212,10 +223,9 @@ class TestMirrorInvariance:
 
         outputs = []
         for mirror in (False, True):
-            spec = to_spectrum(x, mirror)
-            grid = frequency_grid(2 * t_len if mirror else t_len)
-            mode = spec * wiener_weights(grid, *gains_args)
-            outputs.append(to_series(mode, t_len, mirror))
+            coefficients, grid, _ = to_coefficients(x, mirror)
+            mode = coefficients * wiener_weights(grid, *gains_args)
+            outputs.append(from_coefficients(mode, t_len, mirror))
         middle_no, middle_yes = outputs[0][lo:hi], outputs[1][lo:hi]
         rel = np.linalg.norm(middle_no - middle_yes) / np.linalg.norm(middle_no)
         assert rel <= 1e-3
