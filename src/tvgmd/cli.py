@@ -187,15 +187,27 @@ def cmd_inspect(args) -> int:
         centers = summary["center_freqs_hz"]
         mirror = bool(summary["config"]["mirror_extend"])
         converged, iterations = summary["converged"], summary["iterations"]
+        # Per-mode graph-solve telemetry; summaries written before it
+        # existed, and beta = 0 runs, have none.
+        trace = summary.get("trace", [])
+        graph_solves = [
+            bool(ok) for entry in trace for ok in entry.get("graph_converged", ())
+        ]
+        newton_steps = sum(sum(entry.get("graph_steps", ())) for entry in trace)
     except KeyError as exc:
         raise TvgmdError(f"summary.json: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise TvgmdError(f"summary.json: {exc}") from None
     mode_paths = _mode_paths(run_dir)
     if not mode_paths:
         raise TvgmdError(f"{run_dir} contains no mode CSVs")
 
     print(f"run: {run_dir}  converged={converged} iterations={iterations}")
+    if graph_solves:
+        print(
+            f"graph solves: {len(graph_solves)}  newton steps: {newton_steps}"
+            f"  missed tolerance: {graph_solves.count(False)}"
+        )
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
     for k, path in enumerate(mode_paths, start=1):
         mode = read_matrix_csv(path)

@@ -115,12 +115,20 @@ class GraphMode:
 
 @dataclass(frozen=True)
 class IterationSnapshot:
-    """Per-iteration diagnostics recorded by the decomposition loop."""
+    """Per-iteration diagnostics recorded by the decomposition loop.
+
+    ``omegas``, ``graph_steps`` and ``graph_converged`` are in the loop's
+    mode order. ``graph_steps`` holds the Newton steps each mode's graph
+    solve took and ``graph_converged`` whether it met its tolerance; both
+    are empty when graph learning is off.
+    """
 
     iteration: int
     rel_change: float
     omegas: tuple[float, ...]
     objective: float
+    graph_steps: tuple[int, ...] = ()
+    graph_converged: tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -243,11 +251,10 @@ def objective_value(
             edge_w is None
             or zs is None
             or edge_w.shape != zs.shape
-            or len(edge_w) != len(omegas)
+            or edge_w.shape[:-1] != omegas.shape
         ):
             raise DimensionMismatchError(
                 "need one edge-weight and one distance vector per mode"
             )
-        for w, z in zip(edge_w, zs):
-            h2 += graph_objective(w, z, config.beta, config.gamma)
+        h2 = float(graph_objective(edge_w, zs, config.beta, config.gamma).sum())
     return h1 + h2

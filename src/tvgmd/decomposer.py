@@ -5,15 +5,16 @@ The input is transformed once into real coefficients
 back once at the end; every step in between works on real ``(K, N, P)``
 arrays. Each iteration sweeps, in order: per-mode per-node spectral
 updates at the current center frequencies (in place, so later modes see
-the earlier modes' fresh spectra), the center-frequency updates, a
-graph-smoothing solve per mode against the previous iteration's graph,
-re-learning each mode's graph from its new pairwise distances, and the
-dual ascent. Smoothing mixes nodes and the transform runs along time, so
-the smoothing solve applies to the coefficient rows directly, and by
-Parseval the distances of the rows scaled by ``sqrt(weights)`` are the
-time-domain distances. The loop stops when the summed relative spectral
+the earlier modes' fresh spectra), the center-frequency updates, one
+graph-smoothing solve for all modes against the previous iteration's
+graphs, re-learning every mode's graph from its new pairwise distances in
+one lockstep learner call, and the dual ascent. Smoothing mixes nodes and
+the transform runs along time, so the smoothing solve applies to the
+coefficient rows directly, and by Parseval the distances of the rows
+scaled by ``sqrt(weights)`` are the time-domain distances. The loop stops when the summed relative spectral
 change drops below the tolerance; the run counts as converged only if, in
-addition, every graph solve in it met its own tolerance.
+addition, every graph solve in it met its own tolerance. Each trace
+snapshot records every mode's Newton step count and convergence flag.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline.
@@ -36,7 +37,7 @@ from .core import (
 )
 from .errors import DegenerateModeError
 from .graph_learner import learn_graph_batch
-from .graph_ops import densify, geodesic_update, n_edges, pairwise_distances
+from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
     from_coefficients,
     mean_frequency,
@@ -119,26 +120,15 @@ def decompose(
             except DegenerateModeError:
                 pass  # collapsed mode keeps its previous center
 
+        graph_steps, graph_converged = (), ()
         if config.beta > 0:
-            # (3) smooth along the previous graphs
-            graphs = [densify(edge_w[mode], n) for mode in range(k)]
-            g = np.stack(
-                [
-                    geodesic_update(g[mode], graphs[mode], config.beta)
-                    for mode in range(k)
-                ]
+            # (3) smooth along the previous graphs, all modes in one solve
+            g = geodesic_update(g, edge_w, config.beta)
+            # (4) re-learn every mode's graph from its new distances
+            zs = pairwise_distances(
+                g * root_weights, normalize=config.normalize_distances
             )
-            # (4) re-learn each mode's graph from its new distances
-            zs = np.stack(
-                [
-                    pairwise_distances(
-                        g[mode] * root_weights,
-                        normalize=config.normalize_distances,
-                    )
-                    for mode in range(k)
-                ]
-            )
-            edge_w, _, solved = learn_graph_batch(
+            edge_w, steps, solved = learn_graph_batch(
                 zs,
                 config.beta,
                 config.gamma,
@@ -147,6 +137,8 @@ def decompose(
                 eps=config.graph_epsilon,
             )
             graphs_solved &= bool(solved.all())
+            graph_steps = tuple(int(s) for s in steps)
+            graph_converged = tuple(bool(c) for c in solved)
 
         # (5) dual ascent
         if config.tau != 0.0:
@@ -165,6 +157,8 @@ def decompose(
                 objective=objective_value(
                     g, lam, omegas, x_c, grid, weights, config, edge_w, zs
                 ),
+                graph_steps=graph_steps,
+                graph_converged=graph_converged,
             )
         )
         if rel_change < config.epsilon:

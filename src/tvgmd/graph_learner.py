@@ -1,6 +1,6 @@
 """Learn one nonnegative edge-weight vector per mode from pairwise distances.
 
-Solves, for a distance vector ``z``::
+Solves, for each distance vector ``z`` of a batch::
 
     minimize_{w >= 0}  f(w) = 2*beta*w'z + gamma*||w||^2 - 1' log(Qw)
 
@@ -14,6 +14,13 @@ line search keeps every degree positive. The free-edge Newton system
 ``(2*gamma*I + Q_F' diag(deg^-2) Q_F) p = -grad_F`` is solved in node space
 by the Woodbury identity: one N x N SPD solve plus O(M) work per step.
 A solve stops on the KKT residual ``||w - max(w - grad f(w), 0)||_inf``.
+
+The problems of a batch run in lockstep: every sweep takes one Newton step
+on each unfinished row, with all the N x N systems in one batched solve.
+Each row keeps its own active set, step length and stopping test, and a
+finished row drops out of the batch. Every per-row quantity is computed in
+the same order whatever the batch holds, so a row's result is
+bit-identical to solving it alone.
 """
 
 from __future__ import annotations
@@ -21,90 +28,61 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import solve
 
 from .errors import DegenerateInputError, DimensionMismatchError, NotConvergedWarning
-from .graph_ops import EdgeIndexing, apply_Q, nodes_from_edge_count
+from .graph_ops import (
+    EdgeIndexing,
+    edge_degrees,
+    edge_sums,
+    nodes_from_edge_count,
+)
 
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
 _ROUNDING = 1e-13  # relative objective change below which f cannot judge a step
 _ACTIVE_CAP = 1e-3  # largest weight an edge may have and still be held at zero
 
 
+def _evaluate(v, lin, gamma, idx):
+    """Objective, degrees, gradient and KKT residual of each row of ``v``.
+
+    ``lin`` holds the rows' ``2*beta*z``. A row with a nonpositive degree
+    gets value and residual ``+inf``; its gradient is meaningless.
+    """
+    deg = edge_degrees(v, idx)
+    bad = None
+    safe = deg
+    if deg.size and deg.min() <= 0.0:
+        bad = deg.min(axis=1) <= 0.0
+        safe = np.where(bad[:, None], 1.0, deg)  # keeps 1/deg and log finite
+    grad = lin + 2.0 * gamma * v - edge_sums(1.0 / safe, idx)
+    value = (
+        (lin * v).sum(axis=1) + gamma * (v * v).sum(axis=1)
+        - np.log(safe).sum(axis=1)
+    )
+    res = np.abs(v - np.maximum(v - grad, 0.0)).max(axis=1)
+    if bad is not None:
+        value[bad] = res[bad] = np.inf
+    return value, deg, grad, res
+
+
 def graph_objective(
     w: np.ndarray, z: np.ndarray, beta: float, gamma: float
-) -> float:
+) -> float | np.ndarray:
     """Evaluate ``2*beta*w'z + gamma*||w||^2 - sum_n log((Qw)_n)``.
 
-    Returns ``+inf`` whenever some node degree is not strictly positive.
-    Assumes ``w >= 0``.
+    ``w`` and ``z`` are one edge vector each, giving a float, or ``(K, M)``
+    stacks of them, giving one value per row. A row with a node degree that
+    is not strictly positive evaluates to ``+inf``. Assumes ``w >= 0``.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    if w.shape != z.shape:
-        raise DimensionMismatchError("w and z must have the same length")
-    degrees = apply_Q(w)
-    if np.any(degrees <= 0.0):
-        return float("inf")
-    return float(
-        2.0 * beta * (w @ z) + gamma * (w @ w) - np.sum(np.log(degrees))
-    )
-
-
-def _projected_newton(z, w, beta, gamma, idx, max_iter, eps):
-    """Minimize one problem from ``w``; returns ``(w, steps, converged)``."""
-    rows, cols, n = idx.rows, idx.cols, idx.n_nodes
-    lin = 2.0 * beta * z
-
-    def degrees(v):
-        return np.bincount(rows, v, n) + np.bincount(cols, v, n)
-
-    def evaluate(v):
-        """Objective, degrees, gradient and KKT residual at ``v``."""
-        deg = degrees(v)
-        if deg.min() <= 0.0:
-            return np.inf, deg, None, np.inf
-        inv = 1.0 / deg
-        grad = lin + 2.0 * gamma * v - inv[rows] - inv[cols]
-        value = lin @ v + gamma * (v @ v) - np.log(deg).sum()
-        return value, deg, grad, np.abs(v - np.maximum(v - grad, 0.0)).max()
-
-    w = np.maximum(w, 0.0)
-    if degrees(w).min() <= 0.0:
-        w = w + 1.0 / (n - 1)  # every node degree becomes at least 1
-    f, deg, g, res = evaluate(w)
-    for step in range(max_iter + 1):
-        if res <= eps * max(1.0, w.max()):
-            return w, step, True
-        if step == max_iter:
-            break
-        active = (w <= min(res, _ACTIVE_CAP)) & (g > 0.0)
-        rf, cf = rows[~active], cols[~active]
-        # Active edges: gradient step scaled by the Hessian diagonal.
-        inv_sq = deg**-2.0
-        p = -g / (2.0 * gamma + inv_sq[rows] + inv_sq[cols])
-        # Free edges: Newton step through the N x N Woodbury system.
-        s = np.diag(2.0 * gamma * deg * deg + degrees(~active))
-        s[rf, cf] = s[cf, rf] = 1.0
-        y = solve(s, degrees(np.where(active, 0.0, g)), assume_a="pos")
-        p[~active] = (y[rf] + y[cf] - g[~active]) / (2.0 * gamma)
-        newton_decrease = -(g[~active] @ p[~active])
-        a = 1.0
-        while True:
-            trial = np.maximum(w + a * p, 0.0)
-            if np.array_equal(trial, w):
-                return w, step, False  # no representable step remains
-            f_t, deg_t, g_t, res_t = evaluate(trial)
-            decrease = a * newton_decrease + g[active] @ (w - trial)[active]
-            if f_t <= f - _ARMIJO * decrease:
-                break
-            # Near the optimum the decrease drowns in the rounding of f;
-            # the KKT residual then decides.
-            if abs(f_t - f) <= _ROUNDING * max(1.0, abs(f)) and res_t < res:
-                break
-            a *= 0.5
-        w, f, deg, g, res = trial, f_t, deg_t, g_t, res_t
-    return w, max_iter, False
+    if w.shape != z.shape or w.ndim not in (1, 2):
+        raise DimensionMismatchError("w and z must have the same shape")
+    idx = EdgeIndexing(nodes_from_edge_count(w.shape[-1]))
+    values = _evaluate(
+        np.atleast_2d(w), 2.0 * beta * np.atleast_2d(z), gamma, idx
+    )[0]
+    return float(values[0]) if w.ndim == 1 else values
 
 
 def learn_graph_batch(
@@ -115,13 +93,16 @@ def learn_graph_batch(
     max_iter: int = 2000,
     eps: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a batch of independent problems, one per row.
+    """Solve a batch of independent problems, one per row, in lockstep.
 
     Each row of ``zs`` / ``w_inits`` is one problem over the same node set,
-    solved on its own from its warm start. A row stops once its KKT
-    residual is at most ``eps * max(1, max(w))``; a row that reaches
-    ``max_iter`` Newton steps, or whose line search cannot move, is returned
-    as it stands.
+    started from its own warm start. Every sweep takes one Newton step on
+    each unfinished row, solving their N x N systems in one batched call;
+    each row has its own active set and line-search step length. A row
+    stops once its KKT residual is at most ``eps * max(1, max(w))``; a row
+    that reaches ``max_iter`` Newton steps, or whose line search cannot
+    move, stops as it stands. Finished rows leave the batch, and every row
+    comes out bit-identical to a batch of that row alone.
 
     Returns
     -------
@@ -145,13 +126,83 @@ def learn_graph_batch(
     if beta < 0:
         raise DegenerateInputError("beta must be nonnegative")
     idx = EdgeIndexing(nodes_from_edge_count(m))
+    n, rows, cols = idx.n_nodes, idx.rows, idx.cols
+    diagonal = np.arange(n)
     out_w = np.empty_like(zs)
     iters = np.empty(n_prob, dtype=int)
     done = np.empty(n_prob, dtype=bool)
-    for row in range(n_prob):
-        out_w[row], iters[row], done[row] = _projected_newton(
-            zs[row], w_inits[row], beta, gamma, idx, max_iter, eps
+    if n_prob == 0:
+        return out_w, iters, done
+
+    live = np.arange(n_prob)  # batch row of each unfinished problem
+    lin = 2.0 * beta * zs
+    w = np.maximum(w_inits, 0.0)
+    isolated = edge_degrees(w, idx).min(axis=1) <= 0.0
+    w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
+    f, deg, g, res = _evaluate(w, lin, gamma, idx)
+    for step in range(max_iter + 1):
+        met = res <= eps * np.maximum(1.0, w.max(axis=1))
+        stop = met | (step == max_iter)
+        if stop.any():
+            out_w[live[stop]], iters[live[stop]] = w[stop], step
+            done[live[stop]] = met[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            live, lin, w, f, deg, g, res = (
+                v[keep] for v in (live, lin, w, f, deg, g, res)
+            )
+
+        active = (w <= np.minimum(res, _ACTIVE_CAP)[:, None]) & (g > 0.0)
+        free = ~active
+        g_free = np.where(active, 0.0, g)
+        g_active = g - g_free
+        # Active edges: gradient step scaled by the Hessian diagonal.
+        p = -g / (2.0 * gamma + edge_sums(deg**-2.0, idx))
+        # Free edges: Newton step through the N x N Woodbury systems, each
+        # with a 1 per free edge off the diagonal.
+        s = np.zeros((len(w), n, n))
+        s[:, rows, cols] = s[:, cols, rows] = free
+        s[:, diagonal, diagonal] = (
+            2.0 * gamma * deg * deg + edge_degrees(free, idx)
         )
+        y = np.linalg.solve(s, edge_degrees(g_free, idx)[:, :, None])[:, :, 0]
+        p = np.where(active, p, (edge_sums(y, idx) - g) / (2.0 * gamma))
+        newton_decrease = -(g_free * p).sum(axis=1)
+
+        # Projected line search, each row halving its own step length. The
+        # whole batch is re-evaluated every round; a row that has stopped
+        # searching keeps its step length, so it recomputes its own trial.
+        a = np.ones(len(w))
+        searching = np.ones(len(w), dtype=bool)
+        while True:
+            trial = np.maximum(w + a[:, None] * p, 0.0)
+            stuck = (trial == w).all(axis=1)  # no representable step remains
+            f_t, deg_t, g_t, res_t = _evaluate(trial, lin, gamma, idx)
+            decrease = a * newton_decrease + (
+                (g_active * (w - trial)).sum(axis=1)
+            )
+            # Near the optimum the decrease drowns in the rounding of f;
+            # the KKT residual then decides.
+            accept = (f_t <= f - _ARMIJO * decrease) | (
+                (np.abs(f_t - f) <= _ROUNDING * np.maximum(1.0, np.abs(f)))
+                & (res_t < res)
+            )
+            searching &= ~(stuck | accept)
+            if not searching.any():
+                break
+            a[searching] *= 0.5
+
+        if stuck.any():
+            out_w[live[stuck]], iters[live[stuck]] = w[stuck], step
+            done[live[stuck]] = False
+            moved = ~stuck
+            live, lin, trial, f_t, deg_t, g_t, res_t = (
+                v[moved] for v in (live, lin, trial, f_t, deg_t, g_t, res_t)
+            )
+            if not live.size:
+                break
+        w, f, deg, g, res = trial, f_t, deg_t, g_t, res_t
     return out_w, iters, done
 
 

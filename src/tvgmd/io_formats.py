@@ -168,7 +168,11 @@ def write_result(
 
     Produces ``mode_k.csv`` for k = 1..K, ``adjacency_k.json`` per mode
     when graph learning was active, and ``summary.json`` last, so an
-    existing summary always refers to a complete bundle.
+    existing summary always refers to a complete bundle. Each trace entry
+    carries ``iteration``, ``rel_change``, ``omegas``, ``objective`` (null
+    when infinite) and the per-mode ``graph_steps`` and
+    ``graph_converged`` of that iteration's graph solves (empty lists
+    when graph learning was off).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,6 +205,8 @@ def write_result(
                 "rel_change": s.rel_change,
                 "omegas": list(s.omegas),
                 "objective": s.objective if math.isfinite(s.objective) else None,
+                "graph_steps": list(s.graph_steps),
+                "graph_converged": list(s.graph_converged),
             }
             for s in result.trace
         ],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,35 @@ class TestInspectCommand:
         assert main(["inspect", "--run", str(run_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_inspect_reports_graph_solves(self, tmp_path, small_signal,
+                                          capsys):
+        # one Newton step per solve leaves some solves short of tolerance
+        _, run_dir = run_decompose(
+            tmp_path, small_signal, "--fs", "256", "--graph-max-iter", "1"
+        )
+        summary = read_summary_json(run_dir)
+        trace = summary["trace"]
+        solves = sum(len(e["graph_converged"]) for e in trace)
+        steps = sum(sum(e["graph_steps"]) for e in trace)
+        missed = sum(not ok for e in trace for ok in e["graph_converged"])
+        assert solves == 2 * len(trace) and missed > 0
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir)]) == 0
+        assert (
+            f"graph solves: {solves}  newton steps: {steps}  "
+            f"missed tolerance: {missed}"
+        ) in capsys.readouterr().out
+
+        # a summary written without the telemetry still inspects
+        for entry in trace:
+            del entry["graph_steps"], entry["graph_converged"]
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        assert main(["inspect", "--run", str(run_dir)]) == 0
+        del summary["trace"]
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        assert main(["inspect", "--run", str(run_dir)]) == 0
+        assert "graph solves" not in capsys.readouterr().out
+
     def test_plot_data_shapes(self, tmp_path, small_signal):
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
@@ -224,3 +257,20 @@ class TestInspectCommand:
         assert main(["inspect", "--run", str(run_dir), "--edges"]) == 0
         out = capsys.readouterr().out
         assert "edge 1-2" in out
+
+
+def test_import_does_not_load_scipy():
+    # the package runs on numpy alone; importing scipy would also cost
+    # most of the start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tvgmd.cli, tvgmd.decomposer, tvgmd.io_formats, tvgmd.synth\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    )

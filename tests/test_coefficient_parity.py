@@ -26,7 +26,7 @@ from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import _initial_omegas, decompose
 from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import graph_objective, learn_graph_batch
-from tvgmd.graph_ops import densify, geodesic_update, n_edges, pairwise_distances
+from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
 from tvgmd.spectral import (
     frequency_grid,
     mean_frequency,
@@ -127,22 +127,9 @@ def reference_decompose(signal, config):
             except DegenerateModeError:
                 pass
         if config.beta > 0:
-            modes_time = to_time(g_hat)
-            smoothed = np.stack(
-                [
-                    geodesic_update(
-                        modes_time[mode], densify(edge_w[mode], n), config.beta
-                    )
-                    for mode in range(k)
-                ]
-            )
-            zs = np.stack(
-                [
-                    pairwise_distances(
-                        smoothed[mode], normalize=config.normalize_distances
-                    )
-                    for mode in range(k)
-                ]
+            smoothed = geodesic_update(to_time(g_hat), edge_w, config.beta)
+            zs = pairwise_distances(
+                smoothed, normalize=config.normalize_distances
             )
             edge_w, _, solved = learn_graph_batch(
                 zs,

@@ -128,6 +128,24 @@ class TestGraphPath:
         assert result.iterations < config.max_iter
         assert not result.converged
 
+    def test_trace_records_graph_solves(self):
+        config = DecompositionConfig(
+            K=2, alpha=200.0, beta=0.1, graph_max_iter=1
+        )
+        result = decompose(two_tone_signal(), config)
+        steps = [n for s in result.trace for n in s.graph_steps]
+        solved = [ok for s in result.trace for ok in s.graph_converged]
+        assert all(len(s.graph_steps) == len(s.graph_converged) == 2
+                   for s in result.trace)
+        assert all(n <= 1 for n in steps)
+        assert not all(solved) and not result.converged
+        # a capped solve took its one step; one that met the tolerance
+        # before stepping took none
+        assert all(n == 1 for n, ok in zip(steps, solved) if not ok)
+        mvmd = decompose_mvmd(two_tone_signal(), config)
+        assert all(s.graph_steps == () and s.graph_converged == ()
+                   for s in mvmd.trace)
+
     def test_mvmd_is_exactly_beta_zero(self):
         config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
         a = decompose_mvmd(two_tone_signal(), config)

@@ -11,9 +11,21 @@ from tvgmd.graph_learner import (
     learn_graph,
     learn_graph_batch,
 )
-from tvgmd.graph_ops import apply_Q, apply_Q_transpose, n_edges
+from tvgmd.graph_ops import EdgeIndexing, n_edges
 
 rng = np.random.default_rng(11)
+
+
+def degrees(w, n):
+    """Degree operator ``Q w``, one edge vector at a time."""
+    idx = EdgeIndexing(n)
+    return np.bincount(idx.rows, w, n) + np.bincount(idx.cols, w, n)
+
+
+def degrees_adjoint(d):
+    """Adjoint ``Q' d``: ``d[m] + d[n]`` for each edge ``(m, n)``."""
+    idx = EdgeIndexing(len(d))
+    return d[idx.rows] + d[idx.cols]
 
 
 def closed_form_two_nodes(z, beta, gamma):
@@ -29,16 +41,16 @@ def projected_gradient_reference(z, beta, gamma, max_iter=200_000, tol=1e-13):
     def objective(w):
         if np.any(w < 0):
             return np.inf
-        degrees = apply_Q(w, n)
-        if np.any(degrees <= 0):
+        deg = degrees(w, n)
+        if np.any(deg <= 0):
             return np.inf
-        return 2 * beta * w @ z + gamma * w @ w - np.sum(np.log(degrees))
+        return 2 * beta * w @ z + gamma * w @ w - np.sum(np.log(deg))
 
     w = np.full(len(z), 0.5)
     value = objective(w)
     step = 1.0
     for _ in range(max_iter):
-        grad = 2 * beta * z + 2 * gamma * w - apply_Q_transpose(1.0 / apply_Q(w, n))
+        grad = 2 * beta * z + 2 * gamma * w - degrees_adjoint(1.0 / degrees(w, n))
         while True:
             candidate = np.maximum(w - step * grad, 0.0)
             new_value = objective(candidate)
@@ -55,7 +67,8 @@ def projected_gradient_reference(z, beta, gamma, max_iter=200_000, tol=1e-13):
 
 def gradient(w, z, beta, gamma):
     """Gradient of the learner objective, from the degree operator."""
-    return 2 * beta * z + 2 * gamma * w - apply_Q_transpose(1.0 / apply_Q(w))
+    n = int((1 + np.sqrt(1 + 8 * len(z))) // 2)
+    return 2 * beta * z + 2 * gamma * w - degrees_adjoint(1.0 / degrees(w, n))
 
 
 def assert_kkt(w, z, beta, gamma, tol):
@@ -112,6 +125,19 @@ class TestObjective:
             np.array([1.0]), np.array([0.0]), 1.0, 1.0
         ) == pytest.approx(1.0)
 
+    def test_stacked_rows_match_single_values(self):
+        z = rng.random((4, n_edges(5))) * 2
+        w = rng.random((4, n_edges(5)))
+        w[2, [0, 1, 2, 3]] = 0.0  # node 0 isolated in row 2
+        values = graph_objective(w, z, 0.7, 1.3)
+        assert values.shape == (4,) and values[2] == np.inf
+        singles = [graph_objective(w[k], z[k], 0.7, 1.3) for k in range(4)]
+        assert np.array_equal(values, singles)
+
+    def test_empty_stack_gives_no_values(self):
+        empty = np.zeros((0, n_edges(4)))
+        assert graph_objective(empty, empty, 0.7, 1.3).shape == (0,)
+
     def test_learned_point_beats_perturbations(self):
         z = rng.random(n_edges(4)) * 2
         w = solve(z)
@@ -138,7 +164,7 @@ class TestSolverProperties:
             warnings.simplefilter("ignore", NotConvergedWarning)
             w = learn_graph(z, beta, gamma)
         assert np.all(w >= 0)
-        assert np.all(apply_Q(w, n) > 0)
+        assert np.all(degrees(w, n) > 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,6 +265,63 @@ class TestSolverProperties:
             )
             assert iters_b[row] == iters_s[0]
             assert np.array_equal(batch[row], single[0])
+
+    def test_empty_batch_returns_empty_outputs(self):
+        zs = np.zeros((0, n_edges(5)))
+        w, iters, conv = learn_graph_batch(zs, 0.7, 1.1, zs)
+        assert w.shape == zs.shape and iters.shape == conv.shape == (0,)
+
+    def test_lockstep_rows_that_stop_differently_match_single_runs(self):
+        # At eps=1e-16 the KKT test sits at the rounding floor of f, so
+        # cold starts stop in every way the solver has: converged after few
+        # or many steps, at the cap, or on a line search that can no longer
+        # move w. One batch of one row of each kind: finished rows leave it
+        # while the rest go on, which must not change any row.
+        cap = 60
+
+        def solve_alone(z):
+            return learn_graph_batch(
+                z[None], 1.0, 1.0, np.zeros((1, z.size)), max_iter=cap,
+                eps=1e-16,
+            )
+
+        by_kind = {"converged": [], "capped": [], "stalled": []}
+        for seed in range(100):
+            z = np.random.default_rng(seed).random(n_edges(4)) * 3
+            _, iters, conv = solve_alone(z)
+            kind = ("converged" if conv[0]
+                    else "capped" if iters[0] == cap else "stalled")
+            by_kind[kind].append((int(iters[0]), seed))
+        converged = sorted(by_kind["converged"])
+        early, late = converged[0], converged[-1]
+        stalled = next(
+            pick for pick in by_kind["stalled"]
+            if pick[0] not in (early[0], late[0])
+        )
+        picks = [early, late, by_kind["capped"][0], stalled]
+        assert len({steps for steps, _ in picks}) == 4
+        zs = np.stack(
+            [np.random.default_rng(seed).random(n_edges(4)) * 3
+             for _, seed in picks]
+        )
+        batch, iters_b, conv_b = learn_graph_batch(
+            zs, 1.0, 1.0, np.zeros_like(zs), max_iter=cap, eps=1e-16
+        )
+        for row in range(4):
+            single, iters_s, conv_s = solve_alone(zs[row])
+            assert np.array_equal(batch[row], single[0])
+            assert iters_b[row] == iters_s[0] == picks[row][0]
+            assert conv_b[row] == conv_s[0]
+        assert list(conv_b) == [True, True, False, False]
+        # the stalled row's count is the steps that moved w: capped there
+        # it ends at the same weights, capped one step earlier elsewhere
+        stalled_z = zs[3:]
+        for steps, same in ((iters_b[3], True), (iters_b[3] - 1, False)):
+            capped_w, _, _ = learn_graph_batch(
+                stalled_z, 1.0, 1.0, np.zeros_like(stalled_z),
+                max_iter=steps, eps=1e-16,
+            )
+            assert np.array_equal(capped_w[0], batch[3]) == same
 
 
 class TestErrorsAndWarnings:

@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 from tvgmd.errors import (
     DimensionMismatchError,
     NegativeWeightError,
+    NonFiniteInputError,
 )
 from tvgmd.graph_ops import (
     DenseGraph,
     EdgeIndexing,
-    apply_Q,
-    apply_Q_transpose,
     densify,
+    edge_degrees,
+    edge_sums,
     geodesic_update,
     n_edges,
     nodes_from_edge_count,
     pairwise_distances,
-    smoothness,
-    vectorize,
 )
 
 rng = np.random.default_rng(42)
@@ -48,24 +47,36 @@ class TestEdgeIndexing:
             nodes_from_edge_count(4)
 
 
+def degrees_of(w):
+    """Degree operator ``Q w`` of one edge vector through the stacked kernel."""
+    w = np.asarray(w, dtype=float)
+    return edge_degrees(w[None, :], EdgeIndexing(nodes_from_edge_count(w.size)))[0]
+
+
+def degrees_adjoint(d):
+    """Adjoint ``Q' d`` of one node vector through the stacked kernel."""
+    d = np.asarray(d, dtype=float)
+    return edge_sums(d[None, :], EdgeIndexing(d.size))[0]
+
+
 class TestApplyQ:
     def test_three_node_incidence(self):
         # edges (0,1), (0,2), (1,2) with weights a, b, c
         a, b, c = 2.0, 5.0, 11.0
-        assert np.allclose(apply_Q(np.array([a, b, c])), [a + b, a + c, b + c])
+        assert np.allclose(degrees_of([a, b, c]), [a + b, a + c, b + c])
 
     def test_zero_weights_zero_degrees(self):
-        assert np.array_equal(apply_Q(np.zeros(10)), np.zeros(5))
+        assert np.array_equal(degrees_of(np.zeros(10)), np.zeros(5))
 
     def test_matches_densified_adjacency(self):
         w = rng.random(n_edges(5))
         graph = densify(w)
-        assert np.allclose(apply_Q(w), graph.adjacency @ np.ones(5))
+        assert np.allclose(degrees_of(w), graph.adjacency @ np.ones(5))
 
     def test_transpose_examples(self):
-        assert np.allclose(apply_Q_transpose(np.ones(4)), 2.0)
+        assert np.allclose(degrees_adjoint(np.ones(4)), 2.0)
         assert np.allclose(
-            apply_Q_transpose(np.array([1.0, 2.0, 3.0])), [3.0, 4.0, 5.0]
+            degrees_adjoint(np.array([1.0, 2.0, 3.0])), [3.0, 4.0, 5.0]
         )
 
     @settings(max_examples=100, deadline=None)
@@ -77,11 +88,22 @@ class TestApplyQ:
         r = np.random.default_rng(seed)
         w = r.standard_normal(n_edges(n))
         d = r.standard_normal(n)
-        assert apply_Q(w, n) @ d == pytest.approx(w @ apply_Q_transpose(d), abs=1e-12)
+        assert degrees_of(w) @ d == pytest.approx(
+            w @ degrees_adjoint(d), abs=1e-12
+        )
+
+    def test_stack_matches_single_rows(self):
+        idx = EdgeIndexing(6)
+        w = rng.random((5, n_edges(6)))
+        d = rng.random((5, 6))
+        degrees, sums = edge_degrees(w, idx), edge_sums(d, idx)
+        for row in range(5):
+            assert np.array_equal(degrees[row], degrees_of(w[row]))
+            assert np.array_equal(sums[row], d[row, idx.rows] + d[row, idx.cols])
 
     def test_length_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            apply_Q(np.zeros(3), n_nodes=4)
+            densify(np.zeros(3), n_nodes=4)
 
 
 class TestPairwiseDistances:
@@ -108,61 +130,132 @@ class TestPairwiseDistances:
         U = np.ones((3, 4))
         assert np.array_equal(pairwise_distances(U, normalize=True), np.zeros(3))
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_stack_matches_per_mode_calls(self, normalize):
+        U = rng.standard_normal((3, 6, 40))
+        U[1] = 1.0  # all-zero distances: normalization skipped for this mode
+        stacked = pairwise_distances(U, normalize=normalize)
+        assert stacked.shape == (3, n_edges(6))
+        for mode in range(3):
+            single = pairwise_distances(U[mode], normalize=normalize)
+            assert np.abs(stacked[mode] - single).max() <= 1e-12
+
+
+def quadratic_form(U, w):
+    """Smoothness ``Tr(U' L U)`` of the rows of ``U`` over the graph ``w``."""
+    return float(np.sum(U * (densify(w).laplacian @ U)))
+
 
 class TestSmoothness:
+    """``Tr(U' L U) = sum_e w[e] * z[e]`` with ``z`` the pairwise distances."""
+
     def test_zero_graph_gives_zero(self):
         U = rng.standard_normal((4, 7))
-        assert smoothness(U, densify(np.zeros(6))) == 0.0
+        assert quadratic_form(U, np.zeros(6)) == 0.0
+        assert np.zeros(6) @ pairwise_distances(U) == 0.0
 
     def test_constant_rows_give_zero(self):
         U = np.tile(rng.random(5), (3, 1))
         w = rng.random(3)
-        assert smoothness(U, densify(w)) == pytest.approx(0.0, abs=1e-12)
+        assert quadratic_form(U, w) == pytest.approx(0.0, abs=1e-12)
+        assert w @ pairwise_distances(U) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_value(self):
         U = np.array([[1.0, 0.0], [0.0, 0.0]])
-        graph = densify(np.array([2.0]))
-        assert smoothness(U, graph) == pytest.approx(2.0)
+        w = np.array([2.0])
+        assert quadratic_form(U, w) == pytest.approx(2.0)
+        assert w @ pairwise_distances(U) == pytest.approx(2.0)
 
     def test_two_forms_agree(self):
         for _ in range(20):
             n = int(rng.integers(2, 8))
             U = rng.standard_normal((n, 10))
             w = rng.random(n_edges(n))
-            graph = densify(w)
-            assert smoothness(U, graph) == pytest.approx(
+            assert quadratic_form(U, w) == pytest.approx(
                 float(w @ pairwise_distances(U)), abs=1e-9
             )
+
+
+def smooth_one(F, w, beta):
+    """Smoothing solve of one mode through the stacked kernel."""
+    return geodesic_update(F[None], w[None], beta)[0]
 
 
 class TestGeodesicUpdate:
     def test_beta_zero_is_identity(self):
         F = rng.standard_normal((4, 6))
-        graph = densify(rng.random(6))
-        assert np.array_equal(geodesic_update(F, graph, 0.0), F)
+        assert np.array_equal(smooth_one(F, rng.random(6), 0.0), F)
+
+    def test_beta_zero_returns_a_copy(self):
+        F = rng.standard_normal((2, 4, 6))
+        U = geodesic_update(F, rng.random((2, 6)), 0.0)
+        assert U is not F and not np.shares_memory(U, F)
 
     def test_constant_columns_unchanged(self):
         # constants span the Laplacian null space
         F = np.tile(rng.random(6), (4, 1))
-        graph = densify(rng.random(6))
-        assert geodesic_update(F, graph, 0.7) == pytest.approx(F, abs=1e-10)
+        assert smooth_one(F, rng.random(6), 0.7) == pytest.approx(F, abs=1e-10)
 
     def test_solve_residual_small(self):
         F = rng.standard_normal((4, 6))
-        graph = densify(rng.random(6))
+        w = rng.random(6)
         beta = 0.7
-        U = geodesic_update(F, graph, beta)
-        A = np.eye(4) + beta * graph.laplacian
+        U = smooth_one(F, w, beta)
+        A = np.eye(4) + beta * densify(w).laplacian
         assert np.linalg.norm(A @ U - F) <= 1e-9
 
     def test_smoothing_is_a_contraction(self):
         for _ in range(20):
             n = int(rng.integers(2, 7))
             F = rng.standard_normal((n, 12))
-            graph = densify(rng.random(n_edges(n)))
+            w = rng.random(n_edges(n))
             beta = float(rng.random() * 2)
-            U = geodesic_update(F, graph, beta)
-            assert smoothness(U, graph) <= smoothness(F, graph) + 1e-9
+            U = smooth_one(F, w, beta)
+            assert quadratic_form(U, w) <= quadratic_form(F, w) + 1e-9
+
+    def test_stack_matches_per_mode_calls(self):
+        for n in (2, 5, 8):
+            F = rng.standard_normal((4, n, 33))
+            w = rng.random((4, n_edges(n))) * 3
+            w[1] = 0.0  # an empty graph leaves its mode unchanged
+            stacked = geodesic_update(F, w, 0.9)
+            for mode in range(4):
+                single = smooth_one(F[mode], w[mode], 0.9)
+                assert np.abs(stacked[mode] - single).max() <= 1e-12
+            assert np.abs(stacked[1] - F[1]).max() <= 1e-12
+
+    def test_negative_weight_or_beta_rejected(self):
+        F = rng.standard_normal((2, 3, 5))
+        w = rng.random((2, 3))
+        w[1, 2] = -0.5
+        with pytest.raises(NegativeWeightError):
+            geodesic_update(F, w, 0.5)
+        with pytest.raises(NegativeWeightError):
+            geodesic_update(F, np.abs(w), -0.1)
+
+    @pytest.mark.parametrize("where", ["coefficients", "weights", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        F = rng.standard_normal((2, 3, 5))
+        w = rng.random((2, 3))
+        beta = 0.5
+        if where == "coefficients":
+            F[1, 2, 4] = bad
+        elif where == "weights":
+            w[0, 1] = bad
+        else:
+            beta = bad
+        with pytest.raises(NonFiniteInputError):
+            geodesic_update(F, w, beta)
+
+    def test_mode_or_node_count_mismatch_rejected(self):
+        F = rng.standard_normal((2, 3, 5))
+        with pytest.raises(DimensionMismatchError):
+            geodesic_update(F, rng.random((3, 3)), 0.5)  # K: 2 vs 3
+        with pytest.raises(DimensionMismatchError):
+            geodesic_update(F, rng.random((2, 6)), 0.5)  # N: 3 vs 4
+        with pytest.raises(DimensionMismatchError):
+            geodesic_update(F[0], rng.random(3), 0.5)  # not stacked
 
 
 class TestDensify:
@@ -196,7 +289,8 @@ class TestDensify:
 
     def test_vectorize_roundtrip(self):
         w = rng.random(n_edges(6))
-        assert np.array_equal(vectorize(densify(w).adjacency), w)
+        idx = EdgeIndexing(6)
+        assert np.array_equal(densify(w).adjacency[idx.rows, idx.cols], w)
 
     def test_laplacian_positive_semidefinite(self):
         w = rng.random(n_edges(7))

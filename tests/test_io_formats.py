@@ -168,6 +168,24 @@ class TestWriteResult:
             float(np.linalg.norm(result.residual))
         )
 
+    def test_trace_carries_graph_solves(self, tmp_path):
+        result = small_result()
+        snapshot = IterationSnapshot(
+            1, 0.5, (0.1, 0.2), 3.0, graph_steps=(4, 1),
+            graph_converged=(True, False),
+        )
+        result = DecompositionResult(
+            modes=result.modes, residual=result.residual, iterations=1,
+            converged=False, trace=(snapshot,),
+        )
+        write_result(tmp_path, result, manifest_for(result))
+        entry = read_summary_json(tmp_path)["trace"][0]
+        assert entry["graph_steps"] == [4, 1]
+        assert entry["graph_converged"] == [True, False]
+        write_result(tmp_path, small_result(), manifest_for(result))
+        entry = read_summary_json(tmp_path)["trace"][0]
+        assert entry["graph_steps"] == entry["graph_converged"] == []
+
     def test_mode_csv_round_trips_samples(self, tmp_path):
         result = small_result()
         write_result(tmp_path, result, manifest_for(result))
