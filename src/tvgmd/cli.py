@@ -32,6 +32,7 @@ from .io_formats import (
     read_signal_csv,
     read_summary_json,
     sha256_of_file,
+    write_json,
     write_matrix_csv,
     write_result,
     write_signal_csv,
@@ -56,9 +57,9 @@ def _threads_from(args) -> int:
 
 
 def _spec_from_json(path: str) -> SynthSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
         node_terms = tuple(
             tuple((float(f), float(a)) for f, a in terms)
             for terms in payload["node_terms"]
@@ -110,9 +111,7 @@ def cmd_synth(args) -> int:
             for freq in sorted(truth.components)
         ],
     }
-    tmp = truth_path.with_name(truth_path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    os.replace(tmp, truth_path)
+    write_json(truth_path, payload)
     print(
         f"wrote {out} ({signal.n_nodes} nodes x {signal.n_samples} samples "
         f"at {spec.sample_rate_hz:g} Hz) and {truth_path}"
@@ -212,8 +211,8 @@ def cmd_inspect(args) -> int:
     for k, path in enumerate(mode_paths, start=1):
         mode = read_matrix_csv(path)
         ext = mirror_extend(mode) if mirror else mode
-        spectra = np.fft.rfft(ext, axis=1)
-        power = (np.abs(spectra) ** 2).sum(axis=0)
+        magnitudes = np.abs(np.fft.rfft(ext, axis=1))
+        power = (magnitudes**2).sum(axis=0)
         grid = frequency_grid(ext.shape[1])
         center_hz = centers[k - 1]
         try:
@@ -246,7 +245,6 @@ def cmd_inspect(args) -> int:
                     f"{weights[e]:.17g}"
                 )
         if args.plot_data:
-            magnitudes = np.abs(spectra)
             hz = grid * (fs if fs > 0 else 1.0)
             # Column 0: frequency axis in Hz when fs was recoverable,
             # otherwise normalized; columns 1..N: per-node magnitudes.

@@ -2,9 +2,14 @@
 
 CSV dialect: comma separator, LF line endings, UTF-8, no quoting, one node
 per row, values printed with 17 significant digits so read-after-write is
-lossless for doubles. JSON files are UTF-8 with the keys documented below.
-All writes go through a temp file in the target directory followed by an
-atomic rename, so a crashed run never leaves a truncated file behind.
+lossless for doubles. A row is formatted by one ``%`` and parsed by one
+numpy call that reads each cell as Python ``float()`` does; only a row
+that fails to parse is walked cell by cell to name the bad cell. JSON
+files are UTF-8 with the keys documented below; a file that is not valid
+UTF-8, not JSON or missing a key raises :class:`SignalParseError` naming
+it. All writes go through one temp file in the target directory followed
+by an atomic rename (:func:`write_json` for JSON), so a crashed run never
+leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -82,17 +87,31 @@ def write_signal_csv(
 def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray:
     """Parse a node-per-row CSV into a float matrix.
 
-    With ``header=True`` the first line and the first column are treated
-    as labels and skipped. Raises :class:`SignalParseError` naming the
-    offending 1-based line on ragged rows or non-numeric cells, and
-    :class:`EmptyFileError` when no data rows remain.
+    Each cell is read as Python ``float()`` reads it; one numpy call parses
+    a whole row. With ``header=True`` the first line and the first column
+    are treated as labels and skipped. Raises :class:`SignalParseError`
+    naming the offending 1-based line on bytes that are not UTF-8, ragged
+    rows or non-numeric cells, and :class:`EmptyFileError` when no data
+    rows remain.
     """
     path = Path(path)
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # surrogateescape splits lines exactly as strict decoding does, and
+    # turns each undecodable byte into a lone surrogate that only the line
+    # holding it fails to encode back.
+    with open(
+        path, "r", encoding="utf-8", newline="", errors="surrogateescape"
+    ) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SignalParseError(
+                        f"{path.name}, line {lineno}: not valid UTF-8"
+                    ) from None
             if header and lineno == 1:
                 continue
             if line == "":
@@ -100,25 +119,28 @@ def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray
             cells = line.split(",")
             if header:
                 cells = cells[1:]
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise SignalParseError(
-                        f"{path.name}, line {lineno}: non-numeric cell {cell!r}"
-                    ) from None
+            try:
+                parsed = np.array(cells, dtype=float)
+            except ValueError:
+                for cell in cells:  # name the first cell float() rejects
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise SignalParseError(
+                            f"{path.name}, line {lineno}: non-numeric cell {cell!r}"
+                        ) from None
+                raise
             if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
+                width = len(cells)
+            elif len(cells) != width:
                 raise SignalParseError(
                     f"{path.name}, line {lineno}: expected {width} columns, "
-                    f"got {len(parsed)}"
+                    f"got {len(cells)}"
                 )
             rows.append(parsed)
     if not rows:
         raise EmptyFileError(f"{path.name}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.array(rows)
 
 
 def read_signal_csv(
@@ -130,32 +152,55 @@ def read_signal_csv(
     )
 
 
-def write_adjacency_json(
-    path: str | os.PathLike, weights: np.ndarray
-) -> Path:
+def write_json(path: str | os.PathLike, payload) -> Path:
+    """Write ``payload`` as indented JSON, atomically."""
     path = Path(path)
-    weights = np.asarray(weights, dtype=float)
-    payload = {
-        "n_nodes": nodes_from_edge_count(weights.size),
-        "edge_order": EDGE_ORDER,
-        "weights": weights.tolist(),
-    }
     _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
     return path
 
 
-def read_adjacency_json(path: str | os.PathLike) -> np.ndarray:
+def _read_json_object(path: Path) -> dict:
+    """Parse a JSON object; raises :class:`SignalParseError` naming the
+    file when it is not UTF-8, not JSON or not an object."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise SignalParseError(f"{path.name}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SignalParseError(f"{path.name}: not a JSON object")
+    return payload
+
+
+def write_adjacency_json(
+    path: str | os.PathLike, weights: np.ndarray
+) -> Path:
+    weights = np.asarray(weights, dtype=float)
+    return write_json(path, {
+        "n_nodes": nodes_from_edge_count(weights.size),
+        "edge_order": EDGE_ORDER,
+        "weights": weights.tolist(),
+    })
+
+
+def read_adjacency_json(path: str | os.PathLike) -> np.ndarray:
+    """Edge weights of an ``adjacency_k.json``; raises
+    :class:`SignalParseError` naming the file when it is malformed."""
+    path = Path(path)
+    payload = _read_json_object(path)
     if payload.get("edge_order") != EDGE_ORDER:
         raise SignalParseError(
-            f"{Path(path).name}: unknown edge order {payload.get('edge_order')!r}"
+            f"{path.name}: unknown edge order {payload.get('edge_order')!r}"
         )
-    weights = np.asarray(payload["weights"], dtype=float)
-    if nodes_from_edge_count(weights.size) != payload["n_nodes"]:
-        raise SignalParseError(
-            f"{Path(path).name}: weight count does not match n_nodes"
-        )
+    try:
+        weights = np.asarray(payload["weights"], dtype=float)
+        n_nodes = payload["n_nodes"]
+    except KeyError as exc:
+        raise SignalParseError(f"{path.name}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SignalParseError(f"{path.name}: bad weights: {exc}") from None
+    if nodes_from_edge_count(weights.size) != n_nodes:
+        raise SignalParseError(f"{path.name}: weight count does not match n_nodes")
     return weights
 
 
@@ -211,20 +256,11 @@ def write_result(
             for s in result.trace
         ],
     }
-    summary_path = out_dir / "summary.json"
-    _atomic_write_text(summary_path, json.dumps(summary, indent=1) + "\n")
-    written.append(summary_path)
+    written.append(write_json(out_dir / "summary.json", summary))
     return written
 
 
 def read_summary_json(run_dir: str | os.PathLike) -> dict:
     """Parse ``summary.json``; raises :class:`SignalParseError` when it is
     not a JSON object."""
-    with open(Path(run_dir) / "summary.json", "r", encoding="utf-8") as handle:
-        try:
-            summary = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SignalParseError(f"summary.json: {exc}") from None
-    if not isinstance(summary, dict):
-        raise SignalParseError("summary.json: not a JSON object")
-    return summary
+    return _read_json_object(Path(run_dir) / "summary.json")

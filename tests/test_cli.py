@@ -84,6 +84,16 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert read_matrix_csv(out).shape == (2, 128)
 
+    def test_malformed_spec_is_an_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"node_terms": [[[4.0, 1.0]]], "sample_rate')
+        out = tmp_path / "sig.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: bad synth spec {spec_path}: "
+        )
+        assert not out.exists()
+
 
 class TestDecomposeCommand:
     def test_small_run_writes_bundle(self, tmp_path, small_signal):
@@ -110,6 +120,15 @@ class TestDecomposeCommand:
             "--out", str(tmp_path / "r"),
         ])
         assert code == 1
+
+    def test_non_utf8_input_is_an_error(self, tmp_path, small_signal, capsys):
+        small_signal.write_bytes(small_signal.read_bytes() + b"0.5,\xff1\n")
+        code, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: in.csv, line 4: not valid UTF-8\n"
+        )
+        assert not run_dir.exists()
 
     def test_mvmd_omits_adjacency(self, tmp_path, small_signal):
         code, run_dir = run_decompose(
@@ -199,6 +218,30 @@ class TestInspectCommand:
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         summary_path = run_dir / "summary.json"
         summary_path.write_text(corrupt(summary_path.read_text()))
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_nodes": 3, "weig', "adjacency_1.json: "),
+            ("[]", "adjacency_1.json: not a JSON object"),
+            (
+                '{"n_nodes": 3, "edge_order": "upper-triangular-row-major"}',
+                "adjacency_1.json: missing key 'weights'",
+            ),
+            (
+                '{"edge_order": "upper-triangular-row-major", "weights": [1, 2, 3]}',
+                "adjacency_1.json: missing key 'n_nodes'",
+            ),
+        ],
+        ids=["malformed", "not_an_object", "no_weights", "no_n_nodes"],
+    )
+    def test_corrupt_adjacency_is_an_error(self, tmp_path, small_signal,
+                                           capsys, text, message):
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        (run_dir / "adjacency_1.json").write_text(text)
         capsys.readouterr()
         assert main(["inspect", "--run", str(run_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")

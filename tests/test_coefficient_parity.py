@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
-from tvgmd.decomposer import _initial_omegas, decompose
+from tvgmd.decomposer import _initial_omegas, _row_blocks, decompose
 from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import graph_objective, learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
@@ -184,6 +184,16 @@ def odd_length_signal():
     return TimeVaryingGraphSignal(samples=samples, sample_rate_hz=63.0)
 
 
+def wide_signal():
+    """64 nodes x 600 samples at 600 Hz, every node carrying 10.3 Hz and
+    90.7 Hz at its own amplitudes and phases."""
+    tt = np.arange(600) / 600.0
+    node = np.arange(64)[:, None]
+    low = (1.0 + 0.01 * node) * np.cos(2 * np.pi * 10.3 * tt + 0.1 * node)
+    high = (0.5 + 0.02 * node) * np.cos(2 * np.pi * 90.7 * tt - 0.05 * node)
+    return TimeVaryingGraphSignal(samples=low + high, sample_rate_hz=600.0)
+
+
 SIGNALS = {"two_tone": two_tone_signal, "odd_length": odd_length_signal}
 GRID = list(
     itertools.product(
@@ -216,6 +226,31 @@ def test_matches_complex_reference_loop(name, mirror, beta, tau, init):
         weights = np.stack([m.edge_weights for m in got.modes])
         w_scale = max(1.0, np.abs(ref["edge_w"]).max())
         assert np.abs(weights - ref["edge_w"]).max() <= 1e-9 * w_scale
+    trace = np.array([(s.rel_change, s.objective) for s in got.trace])
+    assert trace == pytest.approx(ref["trace"], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("mirror", [True, False])
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+def test_blocked_sweep_matches_reference_loop(mirror, tau):
+    # enough nodes that the sweep runs over several row blocks, the last
+    # one partial
+    signal = wide_signal()
+    n, t = signal.samples.shape
+    blocks = _row_blocks(n, t if mirror else 2 * (t // 2 + 1))
+    assert len(blocks) >= 3
+    assert blocks[-1].stop > n
+    config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=tau,
+                                 omega_init="peaks", mirror_extend=mirror)
+    ref = reference_decompose(signal, config)
+    got = decompose(signal, config)
+
+    assert got.iterations == ref["iterations"]
+    assert got.converged == ref["converged"]
+    assert np.abs(np.array(got.center_frequencies_hz) - ref["centers"]).max() <= 1e-9
+    modes = np.stack([m.mode_samples for m in got.modes])
+    x_scale = np.abs(signal.samples).max()
+    assert np.abs(modes - ref["modes"]).max() <= 1e-10 * x_scale
     trace = np.array([(s.rel_change, s.objective) for s in got.trace])
     assert trace == pytest.approx(ref["trace"], rel=1e-9, abs=0.0)
 

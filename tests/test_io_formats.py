@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgmd.core import (
     DecompositionConfig,
@@ -115,6 +119,127 @@ class TestSignalCsv:
             assert format_matrix_csv(matrix) == expected
 
 
+def _per_cell_reference(path, header=False):
+    """The per-cell ``float()`` reader that the row parser replaced."""
+    path = Path(path)
+    rows, width = [], None
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\r\n")
+            if header and lineno == 1 or line == "":
+                continue
+            cells = line.split(",")[1 if header else 0 :]
+            parsed = []
+            for cell in cells:
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise SignalParseError(
+                        f"{path.name}, line {lineno}: non-numeric cell {cell!r}"
+                    ) from None
+            if width is None:
+                width = len(parsed)
+            elif len(parsed) != width:
+                raise SignalParseError(
+                    f"{path.name}, line {lineno}: expected {width} columns, "
+                    f"got {len(parsed)}"
+                )
+            rows.append(parsed)
+    if not rows:
+        raise EmptyFileError(f"{path.name}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+_DIGITS = "0123456789"
+# Arabic-Indic, Devanagari and fullwidth digits: float() reads them all.
+_FOREIGN_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                   "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+                   "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_doubles = st.floats(allow_nan=True, allow_infinity=True)
+_numbers = st.one_of(
+    _doubles.map(lambda v: "%.17g" % v),
+    _doubles.map(repr),
+    _doubles.map(lambda v: "%.6e" % v),
+    _doubles.map(lambda v: "%.3E" % v),
+    st.integers(-(10**30), 10**30).map(str),
+)
+_cell_texts = st.one_of(
+    _numbers,
+    # underscores, valid ("1_000") or not ("1__0", "_1", "1_")
+    st.tuples(_numbers, st.integers(0, 8), st.sampled_from(["_", "__"])).map(
+        lambda a: a[0][: a[1]] + a[2] + a[0][a[1] :]
+    ),
+    st.sampled_from([
+        "inf", "-inf", "+Inf", "INFINITY", "-Infinity", "nan", "-nan",
+        "+NaN", "nAn", "infinite", "in f", "nan(1)", "", " ", "0x10", "1e",
+        "e5", ".", "+-1", "1.2.3", "1e5.0", "\x00", "\u00bd",
+    ]),
+    st.tuples(_numbers, st.sampled_from(_FOREIGN_DIGITS)).map(
+        lambda a: a[0].translate(str.maketrans(_DIGITS, a[1]))
+    ),
+    st.text(max_size=6).filter(lambda c: not set(c) & set(",\r\n")),
+)
+_padding = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003", "\x0b"])
+_cells = st.tuples(_padding, _cell_texts, _padding).map("".join)
+
+
+class TestRowParsing:
+    """Whole-row numpy parsing against the per-cell ``float()`` reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(_cells, min_size=1, max_size=5), min_size=1,
+                      max_size=3),
+        header=st.booleans(),
+    )
+    def test_matches_per_cell_float(self, rows, header):
+        text = "".join(",".join(row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = _per_cell_reference(path, header)
+            except (SignalParseError, EmptyFileError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    read_matrix_csv(path, header)
+                assert str(got.value) == str(exc)
+                return
+            got = read_matrix_csv(path, header)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        # bit patterns, so signed zeros and NaN signs count too
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_bad_cell_after_good_ones_is_named(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1,2\n3,4\n5, 1_0 ,١٢,0x1\n")
+        with pytest.raises(SignalParseError) as excinfo:
+            read_matrix_csv(path)
+        assert str(excinfo.value) == "sig.csv, line 3: non-numeric cell '0x1'"
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"1,2\n3,\xff4\n", 2),
+            (b"1,2\r\n3,4\r\n5,6\xe9\r\n", 3),
+            (b"\xc3(,2\n3,4\n", 1),
+            (b"1,2\n" * 5000 + b"3,\xed\xa0\x80\n", 5001),  # encoded surrogate
+        ],
+        ids=["latin1_byte", "crlf", "first_line", "past_first_chunk"],
+    )
+    def test_non_utf8_is_a_parse_error(self, tmp_path, data, line):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(data)
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signal_csv(path, 10.0)
+        assert str(excinfo.value) == f"sig.csv, line {line}: not valid UTF-8"
+
+    def test_non_utf8_header_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"n\xe6me,t0\nn1,1\n")
+        with pytest.raises(SignalParseError, match="line 1: not valid UTF-8"):
+            read_matrix_csv(path, header=True)
+
+
 class TestAdjacencyJson:
     def test_roundtrip_and_densify(self, tmp_path):
         weights = rng.random(28)
@@ -133,6 +258,35 @@ class TestAdjacencyJson:
         assert payload["n_nodes"] == 4
         assert payload["edge_order"] == "upper-triangular-row-major"
         assert len(payload["weights"]) == 6
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_nodes": 3, "edge_order": "upper', "adjacency_2.json: "),
+            ("[1, 2, 3]", "adjacency_2.json: not a JSON object"),
+            (
+                '{"n_nodes": 3, "edge_order": "upper-triangular-row-major"}',
+                "adjacency_2.json: missing key 'weights'",
+            ),
+            (
+                '{"edge_order": "upper-triangular-row-major", "weights": [1, 2, 3]}',
+                "adjacency_2.json: missing key 'n_nodes'",
+            ),
+            (
+                '{"n_nodes": 3, "edge_order": "upper-triangular-row-major",'
+                ' "weights": ["a", 2, 3]}',
+                "adjacency_2.json: bad weights: ",
+            ),
+        ],
+        ids=["malformed", "not_an_object", "no_weights", "no_n_nodes",
+             "non_numeric"],
+    )
+    def test_corrupt_file_is_a_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "adjacency_2.json"
+        path.write_text(text)
+        with pytest.raises(SignalParseError) as excinfo:
+            read_adjacency_json(path)
+        assert str(excinfo.value).startswith(message)
 
 
 class TestWriteResult:
