@@ -2,10 +2,13 @@
 
 Exit codes: 0 success (decompose: converged), 3 decompose finished without
 converging (results are still written), 1 runtime or validation error,
-2 bad flags or usage. The --threads flag (env fallback TVGMD_THREADS) is
-validated as an integer >= 0 and otherwise has no effect: nothing reads it
-to size a thread pool. All numerical paths use fixed-order reductions, so
-results are bit-identical regardless of its value.
+2 bad flags or usage.
+
+``inspect --plot-data`` writes each mode's spectrum as the magnitudes of
+the coefficients the decomposition itself uses
+(:func:`~tvgmd.spectral.to_coefficients` folded per bin by
+:func:`~tvgmd.spectral.bin_power`): T rows with mirroring, T//2 + 1
+without.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -37,23 +39,10 @@ from .io_formats import (
     write_result,
     write_signal_csv,
 )
-from .spectral import frequency_grid, mean_frequency, mirror_extend
+from .spectral import bin_power, mean_frequency, to_coefficients
 from .synth import SynthSpec, generate, paper_preset
 
 _PRESETS = ("paper",)
-
-
-def _threads_from(args) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("TVGMD_THREADS", "0")
-    try:
-        threads = int(value)
-    except ValueError:
-        raise TvgmdError(f"threads must be an integer, got {value!r}") from None
-    if threads < 0:
-        raise TvgmdError("threads must be >= 0 (0 = all cores)")
-    return threads
 
 
 def _spec_from_json(path: str) -> SynthSpec:
@@ -120,7 +109,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _threads_from(args)
     if args.k < 1:
         raise TvgmdError("k must be ≥ 1")
     if args.fs <= 0:
@@ -210,18 +198,18 @@ def cmd_inspect(args) -> int:
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
     for k, path in enumerate(mode_paths, start=1):
         mode = read_matrix_csv(path)
-        ext = mirror_extend(mode) if mirror else mode
-        magnitudes = np.abs(np.fft.rfft(ext, axis=1))
-        power = (magnitudes**2).sum(axis=0)
-        grid = frequency_grid(ext.shape[1])
+        coefficients, grid, _ = to_coefficients(mode, mirror)
+        node_power, grid = bin_power(coefficients, grid, mirror)
+        power = node_power.sum(axis=0)
+        t_ext = 2 * mode.shape[1] if mirror else mode.shape[1]
         center_hz = centers[k - 1]
         try:
             center_norm = mean_frequency(power, grid)
         except DegenerateModeError:
             concentration = 0.0
         else:
-            halfwidth = max(5, int(0.02 * ext.shape[1]))
-            center_bin = int(round(center_norm * ext.shape[1]))
+            halfwidth = max(5, int(0.02 * t_ext))
+            center_bin = int(round(center_norm * t_ext))
             lo = max(0, center_bin - halfwidth)
             band = power[lo : center_bin + halfwidth + 1]
             concentration = band.sum() / power.sum()
@@ -248,7 +236,7 @@ def cmd_inspect(args) -> int:
             hz = grid * (fs if fs > 0 else 1.0)
             # Column 0: frequency axis in Hz when fs was recoverable,
             # otherwise normalized; columns 1..N: per-node magnitudes.
-            table = np.column_stack([hz, magnitudes.T])
+            table = np.column_stack([hz, np.sqrt(node_power).T])
             write_matrix_csv(run_dir / f"spectrum_{k}.csv", table)
     if args.plot_data:
         print(f"wrote {len(mode_paths)} spectrum CSVs to {run_dir}")
@@ -316,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to max(1, largest weight) (default: 1e-5)")
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
-    p_dec.add_argument("--threads", default=None,
-                       help="validated (integer >= 0) but has no effect "
-                            "(default: TVGMD_THREADS or 0)")
     p_dec.add_argument("--out", required=True, help="output directory")
     p_dec.set_defaults(func=cmd_decompose)
 

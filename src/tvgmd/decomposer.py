@@ -49,6 +49,7 @@ from .errors import DegenerateModeError
 from .graph_learner import learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
+    bin_power,
     from_coefficients,
     mean_frequency,
     to_coefficients,
@@ -76,10 +77,8 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
         return 0.5 * (np.arange(k) + 1.0) / (k + 1.0)
     # peaks: strongest bins of the aggregate power spectrum, each pick
     # suppressing a small neighborhood so one lobe yields one mode.
-    power = (x_c**2).sum(axis=0)
-    if not config.mirror_extend:  # one bin per (re, im) pair
-        power = power.reshape(-1, 2).sum(axis=1)
-        grid = grid[::2]
+    power, grid = bin_power(x_c, grid, config.mirror_extend)
+    power = power.sum(axis=0)
     halfwidth = max(2, t_ext // 100)
     omegas = np.zeros(k)
     for i in range(k):

@@ -182,9 +182,11 @@ def learn_graph_batch(
             decrease = a * newton_decrease + (
                 (g_active * (w - trial)).sum(axis=1)
             )
-            # Near the optimum the decrease drowns in the rounding of f;
-            # the KKT residual then decides.
-            accept = (f_t <= f - _ARMIJO * decrease) | (
+            # A step must lower f: at the rounding floor of f a predicted
+            # decrease of rounding size would pass the Armijo test with
+            # f_t == f. Near the optimum the decrease drowns in the
+            # rounding of f; the KKT residual then decides.
+            accept = ((f_t <= f - _ARMIJO * decrease) & (f_t < f)) | (
                 (np.abs(f_t - f) <= _ROUNDING * np.maximum(1.0, np.abs(f)))
                 & (res_t < res)
             )

@@ -4,7 +4,11 @@ Edge weights live in the upper-triangular row-major order: for ``N`` nodes
 the vector has ``M = N(N-1)/2`` entries and entry ``e`` corresponds to the
 pair ``(m, n)`` with ``m < n``, pairs enumerated as ``(0,1), (0,2), ...,
 (N-2, N-1)``. This layout is the canonical one for every file format and
-every function in the package.
+every function in the package. :class:`EdgeIndexing` holds the node pair of
+each edge as ``rows``/``cols`` arrays. The degree operator ``Q``
+(:func:`edge_degrees`) and its adjoint (:func:`edge_sums`) work on edge
+vectors directly; only :func:`geodesic_update` forms the N x N matrices
+``I + beta L`` it solves with.
 """
 
 from __future__ import annotations
@@ -62,24 +66,6 @@ class EdgeIndexing:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """(M, 2) array of node index pairs, row-major upper-triangular."""
-        return np.column_stack([self.rows, self.cols])
-
-
-@dataclass(frozen=True)
-class DenseGraph:
-    """Adjacency, degree vector and combinatorial Laplacian of one graph."""
-
-    adjacency: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
-
 
 @functools.lru_cache(maxsize=64)
 def _batch_pairs(n_nodes: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +83,7 @@ def edge_degrees(w: np.ndarray, idx: EdgeIndexing) -> np.ndarray:
     """Node degrees of each row of a ``(B, M)`` stack of edge vectors.
 
     This is the degree operator ``Q``: ``(Qw)[n]`` sums ``w`` over the edges
-    at node ``n``, which equals ``W 1`` for the densified adjacency ``W``
+    at node ``n``, which equals ``W 1`` for the adjacency matrix ``W``
     without building it. One ``np.bincount`` over batch-offset node indices
     serves all rows. A row's bins receive only that row's edges, in edge
     order, so each row sums in the same order as it would alone and batch
@@ -213,24 +199,3 @@ def geodesic_update(
         raise SolveFailureError(f"(I + beta L) is not SPD: {exc}") from exc
     return np.linalg.inv(A) @ F
 
-
-def densify(w: np.ndarray, n_nodes: int | None = None) -> DenseGraph:
-    """Expand an edge-weight vector into adjacency, degrees and Laplacian."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise DimensionMismatchError("edge vector must be one-dimensional")
-    if n_nodes is None:
-        n_nodes = nodes_from_edge_count(w.shape[0])
-    elif n_edges(n_nodes) != w.shape[0]:
-        raise DimensionMismatchError(
-            f"edge vector of length {w.shape[0]} does not match "
-            f"n_nodes={n_nodes} (expected {n_edges(n_nodes)})"
-        )
-    if np.any(w < 0):
-        raise NegativeWeightError("edge weights must be nonnegative")
-    idx = EdgeIndexing(n_nodes)
-    W = np.zeros((n_nodes, n_nodes))
-    W[idx.rows, idx.cols] = w
-    W = W + W.T
-    degree = edge_degrees(w[None, :], idx)[0]
-    return DenseGraph(adjacency=W, degree=degree, laplacian=np.diag(degree) - W)

@@ -9,7 +9,8 @@ files are UTF-8 with the keys documented below; a file that is not valid
 UTF-8, not JSON or missing a key raises :class:`SignalParseError` naming
 it. All writes go through one temp file in the target directory followed
 by an atomic rename (:func:`write_json` for JSON), so a crashed run never
-leaves a truncated file behind.
+leaves a truncated file behind; the files get the mode the umask gives
+any new file (0644 under umask 022).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,7 +55,16 @@ def sha256_of_file(path: str | os.PathLike) -> str:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # Opened with mode 0666 so the umask applies as for any new file
+    # (tempfile.mkstemp would force 0600); os.replace keeps the mode.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

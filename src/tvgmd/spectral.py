@@ -16,7 +16,9 @@ unnormalized DCT-II: ``|c_j|`` equals the magnitude of bin j of the
 mirror-extended FFT for j < T, and bin T, identically zero, is dropped.
 Without mirroring the coefficients are the ``np.fft.rfft`` bins viewed as
 interleaved (re, im) pairs, each pair sharing its bin's frequency and
-weight.
+weight. This module is the only one that knows the layout: callers that
+need a spectrum per frequency bin (the ``peaks`` initialization, ``tvgmd
+inspect``) get it from :func:`bin_power`.
 """
 
 from __future__ import annotations
@@ -26,23 +28,12 @@ import numpy as np
 from .errors import DegenerateModeError, DimensionMismatchError
 
 
-def mirror_extend(series: np.ndarray) -> np.ndarray:
-    """Reflect the first T//2 samples before index 0 and the rest after the
-    end, along the last axis. Output length is exactly 2T."""
-    x = np.asarray(series, dtype=float)
-    t = x.shape[-1]
-    left = t // 2
-    return np.concatenate(
-        [x[..., :left][..., ::-1], x, x[..., left:][..., ::-1]], axis=-1
-    )
-
-
-def frequency_grid(t_ext: int) -> np.ndarray:
+def _frequency_grid(t_ext: int) -> np.ndarray:
     """Normalized frequencies of the half-spectrum bins for length ``t_ext``."""
     return np.arange(t_ext // 2 + 1) / t_ext
 
 
-def parseval_weights(t_ext: int) -> np.ndarray:
+def _parseval_weights(t_ext: int) -> np.ndarray:
     """Multiplicities of the half-spectrum bins in the full-spectrum energy:
     2 everywhere except the DC bin and, for even lengths, the Nyquist bin."""
     f = t_ext // 2 + 1
@@ -80,8 +71,8 @@ def to_coefficients(
         weights[0] = 1.0 / (4 * t)
         return spectrum.real.copy(), grid, weights
     coefficients = np.fft.rfft(x).view(float)
-    grid = np.repeat(frequency_grid(t), 2)
-    weights = np.repeat(parseval_weights(t) / t, 2)
+    grid = np.repeat(_frequency_grid(t), 2)
+    weights = np.repeat(_parseval_weights(t) / t, 2)
     return coefficients, grid, weights
 
 
@@ -101,6 +92,21 @@ def from_coefficients(
         spectrum[..., :t] = c * _half_sample_phase(t)
         return np.fft.irfft(spectrum, n=2 * t)[..., :t]
     return np.fft.irfft(np.ascontiguousarray(c).view(complex), n=t)
+
+
+def bin_power(
+    coefficients: np.ndarray, grid: np.ndarray, mirror: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power of every frequency bin along the last axis, and the bins'
+    frequencies, for coefficients and grid from :func:`to_coefficients`.
+
+    With mirroring each coefficient is one bin (T bins); without it the
+    (re, im) pair of each rfft bin is summed (T//2 + 1 bins).
+    """
+    power = np.square(coefficients)
+    if mirror:
+        return power, grid
+    return power[..., 0::2] + power[..., 1::2], grid[::2]
 
 
 def wiener_weights(

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -146,42 +147,16 @@ class TestDecomposeCommand:
         assert read_summary_json(run_dir)["converged"] is False
         assert (run_dir / "summary.json").exists()
 
-    def test_threads_env_fallback(self, tmp_path, small_signal, monkeypatch):
-        monkeypatch.setenv("TVGMD_THREADS", "2")
-        code, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
-        assert code == 0
-        assert (run_dir / "summary.json").exists()
-
-    def test_threads_env_invalid_is_error(self, tmp_path, small_signal,
-                                          monkeypatch, capsys):
-        monkeypatch.setenv("TVGMD_THREADS", "many")
-        code = main([
-            "decompose", "--input", str(small_signal), "--fs", "256",
-            "--k", "2", "--alpha", "200", "--out", str(tmp_path / "r"),
-        ])
-        assert code == 1
-        assert "threads" in capsys.readouterr().err
-
-    def test_threads_flag_does_not_change_bytes(self, tmp_path, small_signal):
-        outputs = []
-        for threads in ("1", "4"):
-            run_dir = tmp_path / f"run_t{threads}"
-            code = main([
+    def test_threads_flag_is_usage_error(self, tmp_path, small_signal):
+        # the flag never had an effect and is gone; argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            main([
                 "decompose", "--input", str(small_signal), "--fs", "256",
-                "--k", "2", "--alpha", "200", "--threads", threads,
-                "--out", str(run_dir),
+                "--k", "2", "--alpha", "200", "--threads", "1",
+                "--out", str(tmp_path / "run"),
             ])
-            assert code == 0
-            bundle = {}
-            for path in sorted(run_dir.iterdir()):
-                data = path.read_bytes()
-                if path.name == "summary.json":
-                    payload = json.loads(data)
-                    del payload["timing_ms"]  # wall time may differ
-                    data = json.dumps(payload, sort_keys=True).encode()
-                bundle[path.name] = data
-            outputs.append(bundle)
-        assert outputs[0] == outputs[1]
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestInspectCommand:
@@ -281,7 +256,24 @@ class TestInspectCommand:
         spectra = sorted(run_dir.glob("spectrum_*.csv"))
         assert len(spectra) == 2
         table = read_matrix_csv(spectra[0])
-        assert table.shape == (257, 4)  # F bins x (freq + 3 nodes)
+        assert table.shape == (256, 4)  # T bins x (freq + 3 nodes)
+
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_plot_data_values(self, tmp_path, small_signal, mirror):
+        extra = () if mirror else ("--no-mirror",)
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256", *extra)
+        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
+        for k in (1, 2):
+            mode = read_matrix_csv(run_dir / f"mode_{k}.csv")
+            n, t = mode.shape
+            ext = np.concatenate([mode, mode[:, ::-1]], axis=1) if mirror else mode
+            bins = t if mirror else t // 2 + 1  # bin T of the extension is 0
+            expected = np.abs(np.fft.rfft(ext, axis=1))[:, :bins].T
+            table = read_matrix_csv(run_dir / f"spectrum_{k}.csv")
+            assert table.shape == (bins, 1 + n)
+            assert np.allclose(table[:, 0], np.arange(bins) * 256.0 / ext.shape[1],
+                               rtol=1e-15, atol=0.0)
+            assert np.abs(table[:, 1:] - expected).max() <= 1e-12 * expected.max()
 
     def test_all_zero_mode_has_zero_concentration(self, tmp_path, small_signal,
                                                   capsys):
@@ -300,6 +292,22 @@ class TestInspectCommand:
         assert main(["inspect", "--run", str(run_dir), "--edges"]) == 0
         out = capsys.readouterr().out
         assert "edge 1-2" in out
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_files_follow_umask(tmp_path, small_signal, umask, mode):
+    previous = os.umask(umask)
+    try:
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        _, signal_path = run_synth(tmp_path)
+    finally:
+        os.umask(previous)
+    written = [*run_dir.iterdir(), signal_path, tmp_path / "ground_truth.json"]
+    assert len(written) == 7  # 2 modes, 2 adjacencies, summary, synth pair
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_import_does_not_load_scipy():

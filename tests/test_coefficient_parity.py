@@ -27,16 +27,34 @@ from tvgmd.decomposer import _initial_omegas, _row_blocks, decompose
 from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import graph_objective, learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
-from tvgmd.spectral import (
-    frequency_grid,
-    mean_frequency,
-    mirror_extend,
-    parseval_weights,
-    to_coefficients,
-    wiener_weights,
-)
+from tvgmd.spectral import mean_frequency, to_coefficients, wiener_weights
 
 _EPS = np.finfo(float).eps
+
+
+def mirror_extend(series):
+    """Reflect the first T//2 samples before index 0 and the rest after the
+    end, along the last axis; length 2T."""
+    left = series.shape[-1] // 2
+    return np.concatenate(
+        [series[..., :left][..., ::-1], series, series[..., left:][..., ::-1]],
+        axis=-1,
+    )
+
+
+def frequency_grid(t_ext):
+    """Normalized frequencies of the rfft bins of a length-``t_ext`` series."""
+    return np.arange(t_ext // 2 + 1) / t_ext
+
+
+def parseval_weights(t_ext):
+    """Multiplicities of the rfft bins in the full-spectrum energy: 2 except
+    for the DC bin and, for even lengths, the Nyquist bin."""
+    weights = np.full(t_ext // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if t_ext % 2 == 0:
+        weights[-1] = 1.0
+    return weights
 
 
 def _crop_mirrored(series_ext, t):

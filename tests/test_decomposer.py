@@ -5,8 +5,7 @@ import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import decompose, decompose_mvmd
-from tvgmd.graph_ops import EdgeIndexing
-from tvgmd.spectral import mirror_extend
+from test_graph_ops import node_pairs
 
 FS = 256.0
 T = 256
@@ -109,9 +108,7 @@ class TestGraphPath:
         low = result.modes[0]
         assert low.center_freq_hz == pytest.approx(8.0, abs=0.5)
         assert low.edge_weights.size == 6
-        idx = EdgeIndexing(4)
-        weights = {tuple(p): w for p, w in zip(map(tuple, idx.pairs),
-                                               low.edge_weights)}
+        weights = dict(zip(node_pairs(4), low.edge_weights))
         # 8 Hz lives on nodes {0,1,2}; node 3 is silent there
         in_group = [weights[(0, 1)], weights[(0, 2)], weights[(1, 2)]]
         cross = [weights[(0, 3)], weights[(1, 3)], weights[(2, 3)]]
@@ -205,7 +202,6 @@ class TestDeterminismAndEquivariance:
         config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
         base = decompose(signal, config)
         other = decompose(permuted, config)
-        idx = EdgeIndexing(4)
         for mode_base, mode_perm in zip(base.modes, other.modes):
             assert mode_perm.center_freq_hz == pytest.approx(
                 mode_base.center_freq_hz, abs=1e-9
@@ -213,10 +209,8 @@ class TestDeterminismAndEquivariance:
             assert mode_perm.mode_samples == pytest.approx(
                 mode_base.mode_samples[perm], abs=1e-8
             )
-            base_w = {}
-            for pair, w in zip(map(tuple, idx.pairs), mode_base.edge_weights):
-                base_w[pair] = w
-            for pair, w in zip(map(tuple, idx.pairs), mode_perm.edge_weights):
+            base_w = dict(zip(node_pairs(4), mode_base.edge_weights))
+            for pair, w in zip(node_pairs(4), mode_perm.edge_weights):
                 original = tuple(sorted((perm[pair[0]], perm[pair[1]])))
                 assert w == pytest.approx(base_w[original], abs=1e-8)
 
@@ -288,12 +282,11 @@ class TestOptions:
         )
         num = den = 0.0
         for mode_now, mode_prev in zip(full.modes, prev.modes):
-            ext_now = mirror_extend(mode_now.mode_samples)
-            ext_prev = mirror_extend(mode_prev.mode_samples)
+            now, prev = mode_now.mode_samples, mode_prev.mode_samples
             for node in range(signal.n_nodes):
-                diff = ext_now[node] - ext_prev[node]
+                diff = now[node] - prev[node]
                 num_term = float(diff @ diff)
-                den_term = float(ext_prev[node] @ ext_prev[node])
+                den_term = float(prev[node] @ prev[node])
                 num += num_term / max(den_term, 1e-300)
         time_rel = num
         spec_rel = full.trace[-1].rel_change

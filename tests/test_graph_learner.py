@@ -221,6 +221,19 @@ class TestSolverProperties:
         )
         assert converged[0] and iters[0] <= 50
 
+    def test_rounding_floor_ends_the_solve(self):
+        # with eps below the rounding floor of f no step can lower f; each
+        # solve must end on the no-move guard instead of taking ulp-sized
+        # steps that pass the Armijo test with f_t == f until the cap
+        zs = np.stack([
+            3.0 * np.random.default_rng(seed).uniform(size=6)
+            for seed in range(40)
+        ])
+        _, iters, _ = learn_graph_batch(
+            zs, 1.0, 1.0, np.zeros_like(zs), max_iter=1000, eps=1e-16
+        )
+        assert iters.max() < 1000
+
     def test_larger_distance_never_larger_weight(self):
         others = np.array([0.5, 0.8])
         previous = np.inf

@@ -9,9 +9,7 @@ from tvgmd.errors import (
     NonFiniteInputError,
 )
 from tvgmd.graph_ops import (
-    DenseGraph,
     EdgeIndexing,
-    densify,
     edge_degrees,
     edge_sums,
     geodesic_update,
@@ -21,6 +19,23 @@ from tvgmd.graph_ops import (
 )
 
 rng = np.random.default_rng(42)
+
+
+def node_pairs(n):
+    """Node pair ``(m, k)``, ``m < k``, of every edge in row-major
+    upper-triangular order, built independently of the package."""
+    return [(int(m), int(k)) for m, k in zip(*np.triu_indices(n, k=1))]
+
+
+def laplacian(w):
+    """Dense combinatorial Laplacian ``D - W`` of one edge vector, built
+    independently of the package's graph kernels."""
+    w = np.asarray(w, dtype=float)
+    n = int((1 + np.sqrt(1 + 8 * w.size)) // 2)
+    adjacency = np.zeros((n, n))
+    adjacency[np.triu_indices(n, k=1)] = w
+    adjacency += adjacency.T
+    return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
 def brute_force_distances(U):
@@ -36,7 +51,8 @@ class TestEdgeIndexing:
     def test_pair_order_is_row_major_upper_triangular(self):
         idx = EdgeIndexing(4)
         expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        assert [tuple(p) for p in idx.pairs] == expected
+        assert node_pairs(4) == expected
+        assert list(zip(idx.rows.tolist(), idx.cols.tolist())) == expected
 
     def test_edge_count_roundtrip(self):
         for n in range(2, 30):
@@ -70,8 +86,7 @@ class TestApplyQ:
 
     def test_matches_densified_adjacency(self):
         w = rng.random(n_edges(5))
-        graph = densify(w)
-        assert np.allclose(degrees_of(w), graph.adjacency @ np.ones(5))
+        assert np.allclose(degrees_of(w), np.diag(laplacian(w)))
 
     def test_transpose_examples(self):
         assert np.allclose(degrees_adjoint(np.ones(4)), 2.0)
@@ -100,10 +115,6 @@ class TestApplyQ:
         for row in range(5):
             assert np.array_equal(degrees[row], degrees_of(w[row]))
             assert np.array_equal(sums[row], d[row, idx.rows] + d[row, idx.cols])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            densify(np.zeros(3), n_nodes=4)
 
 
 class TestPairwiseDistances:
@@ -143,7 +154,7 @@ class TestPairwiseDistances:
 
 def quadratic_form(U, w):
     """Smoothness ``Tr(U' L U)`` of the rows of ``U`` over the graph ``w``."""
-    return float(np.sum(U * (densify(w).laplacian @ U)))
+    return float(np.sum(U * (laplacian(w) @ U)))
 
 
 class TestSmoothness:
@@ -201,7 +212,7 @@ class TestGeodesicUpdate:
         w = rng.random(6)
         beta = 0.7
         U = smooth_one(F, w, beta)
-        A = np.eye(4) + beta * densify(w).laplacian
+        A = np.eye(4) + beta * laplacian(w)
         assert np.linalg.norm(A @ U - F) <= 1e-9
 
     def test_smoothing_is_a_contraction(self):
@@ -257,42 +268,3 @@ class TestGeodesicUpdate:
         with pytest.raises(DimensionMismatchError):
             geodesic_update(F[0], rng.random(3), 0.5)  # not stacked
 
-
-class TestDensify:
-    def test_zero_vector(self):
-        graph = densify(np.zeros(3))
-        assert np.array_equal(graph.adjacency, np.zeros((3, 3)))
-        assert np.array_equal(graph.laplacian, np.zeros((3, 3)))
-
-    def test_placement_by_indexing(self):
-        graph = densify(np.array([1.0, 0.0, 2.0]))
-        assert graph.adjacency[0, 1] == 1.0
-        assert graph.adjacency[0, 2] == 0.0
-        assert graph.adjacency[1, 2] == 2.0
-        assert np.allclose(graph.degree, [1.0, 3.0, 2.0])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(NegativeWeightError):
-            densify(np.array([1.0, -0.5, 0.0]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=10),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_laplacian_rows_sum_to_zero(self, n, seed):
-        w = np.random.default_rng(seed).random(n_edges(n))
-        graph = densify(w)
-        assert np.allclose(graph.laplacian @ np.ones(n), 0.0, atol=1e-12)
-        assert np.allclose(graph.adjacency, graph.adjacency.T)
-        assert np.allclose(np.diag(graph.adjacency), 0.0)
-
-    def test_vectorize_roundtrip(self):
-        w = rng.random(n_edges(6))
-        idx = EdgeIndexing(6)
-        assert np.array_equal(densify(w).adjacency[idx.rows, idx.cols], w)
-
-    def test_laplacian_positive_semidefinite(self):
-        w = rng.random(n_edges(7))
-        eigenvalues = np.linalg.eigvalsh(densify(w).laplacian)
-        assert eigenvalues.min() >= -1e-12

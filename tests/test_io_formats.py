@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_graph_ops import laplacian
+
 from tvgmd.core import (
     DecompositionConfig,
     DecompositionResult,
@@ -15,7 +17,6 @@ from tvgmd.core import (
     TimeVaryingGraphSignal,
 )
 from tvgmd.errors import EmptyFileError, SignalParseError
-from tvgmd.graph_ops import densify
 from tvgmd.io_formats import (
     RunManifest,
     format_matrix_csv,
@@ -25,6 +26,7 @@ from tvgmd.io_formats import (
     read_summary_json,
     sha256_of_file,
     write_adjacency_json,
+    write_matrix_csv,
     write_result,
     write_signal_csv,
 )
@@ -247,9 +249,10 @@ class TestAdjacencyJson:
         write_adjacency_json(path, weights)
         back = read_adjacency_json(path)
         assert np.array_equal(back, weights)
-        graph = densify(back)
-        assert np.allclose(graph.adjacency, graph.adjacency.T)
-        assert np.allclose(np.diag(graph.adjacency), 0.0)
+        graph = laplacian(back)
+        assert graph.shape == (8, 8)
+        assert np.allclose(graph, graph.T)
+        assert np.allclose(graph.sum(axis=1), 0.0)
 
     def test_self_describing_fields(self, tmp_path):
         path = tmp_path / "adjacency_1.json"
@@ -368,6 +371,29 @@ class TestWriteResult:
         monkeypatch.setattr(io_formats, "format_matrix_csv", original)
         assert not (tmp_path / "summary.json").exists()
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        import tvgmd.io_formats as io_formats
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(io_formats.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_matrix_csv(tmp_path / "m.csv", np.ones((2, 3)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        import tvgmd.io_formats as io_formats
+
+        names = iter([b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(io_formats.os, "urandom", lambda size: next(names))
+        taken = tmp_path / (".m.csv." + "00" * 6)
+        taken.write_text("someone else's")
+        write_matrix_csv(tmp_path / "m.csv", np.ones((2, 3)))
+        assert read_matrix_csv(tmp_path / "m.csv").shape == (2, 3)
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "m.csv"]
 
 
 class TestChecksum:

@@ -11,15 +11,19 @@ from tvgmd.errors import (
     DimensionMismatchError,
 )
 from tvgmd.spectral import (
-    frequency_grid,
+    bin_power,
     from_coefficients,
     mean_frequency,
-    mirror_extend,
     to_coefficients,
     wiener_weights,
 )
 
 rng = np.random.default_rng(7)
+
+
+def frequency_grid(t_ext):
+    """Normalized frequencies of the rfft bins of a length-``t_ext`` series."""
+    return np.arange(t_ext // 2 + 1) / t_ext
 
 
 def random_spectrum(n_bins, seed=None):
@@ -79,14 +83,6 @@ class TestTransforms:
         with pytest.raises(DimensionMismatchError):
             from_coefficients(coefficients, 16, mirror=True)
 
-    def test_mirror_layout(self):
-        ext = mirror_extend(np.array([0.0, 1.0, 2.0, 3.0]))
-        assert np.array_equal(ext, [1, 0, 0, 1, 2, 3, 3, 2])
-
-    def test_mirror_odd_length(self):
-        ext = mirror_extend(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
-        assert len(ext) == 10
-
     @pytest.mark.parametrize("t_len", [8, 9, 64])
     def test_coefficients_match_mirrored_fft(self, t_len):
         # DCT-II by its definition, and |c_j| equals bin j of the
@@ -96,11 +92,26 @@ class TestTransforms:
         n = np.arange(t_len)
         basis = 2.0 * np.cos(np.pi * np.outer(n, 2 * n + 1) / (2 * t_len))
         assert np.allclose(coefficients, x @ basis.T, rtol=0, atol=1e-12)
-        spectrum = np.fft.rfft(mirror_extend(x))
+        # half the series reflected at each end: a circular shift of
+        # [x, x[::-1]], so its bin magnitudes are the same
+        left = t_len // 2
+        spectrum = np.fft.rfft(np.concatenate(
+            [x[:, :left][:, ::-1], x, x[:, left:][:, ::-1]], axis=1))
         assert np.allclose(np.abs(coefficients), np.abs(spectrum[:, :t_len]),
                            rtol=0, atol=1e-12)
         assert np.allclose(spectrum[:, t_len], 0.0, atol=1e-12)
         assert np.array_equal(grid, frequency_grid(2 * t_len)[:t_len])
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("t_len", [8, 9, 64])
+    def test_bin_power_matches_rfft(self, mirror, t_len):
+        x = rng.standard_normal((3, t_len))
+        power, freqs = bin_power(*to_coefficients(x, mirror)[:2], mirror)
+        ext = np.concatenate([x, x[:, ::-1]], axis=1) if mirror else x
+        spectrum = np.fft.rfft(ext)[:, : power.shape[1]]
+        assert power.shape == (3, t_len if mirror else t_len // 2 + 1)
+        assert np.allclose(power, np.abs(spectrum) ** 2, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(freqs, frequency_grid(ext.shape[1])[: power.shape[1]])
 
     @settings(max_examples=50, deadline=None)
     @given(
