@@ -17,7 +17,7 @@ from .core import (
     validate_config,
 )
 from .decomposer import decompose, decompose_mvmd
-from .graph_learner import graph_objective, learn_graph
+from .graph_learner import graph_objective, learn_graph_batch
 from .synth import GroundTruth, SynthSpec, generate, paper_preset
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "decompose_mvmd",
     "generate",
     "graph_objective",
-    "learn_graph",
+    "learn_graph_batch",
     "objective_value",
     "paper_preset",
     "validate_config",

@@ -26,7 +26,7 @@ from . import __version__
 from .core import DecompositionConfig, OMEGA_INIT_CHOICES
 from .decomposer import decompose, decompose_mvmd
 from .errors import DegenerateModeError, TvgmdError
-from .graph_ops import EdgeIndexing, nodes_from_edge_count
+from .graph_ops import edge_pairs, nodes_from_edge_count
 from .io_formats import (
     RunManifest,
     read_adjacency_json,
@@ -137,9 +137,6 @@ def cmd_decompose(args) -> int:
     manifest = RunManifest(
         config=config,
         input_sha256=sha256_of_file(args.input),
-        center_freqs_hz=result.center_frequencies_hz,
-        iterations=result.iterations,
-        converged=result.converged,
         timing_ms=elapsed_ms,
         sample_rate_hz=args.fs,
     )
@@ -216,10 +213,10 @@ def cmd_inspect(args) -> int:
         adjacency = run_dir / f"adjacency_{k}.json"
         weights = read_adjacency_json(adjacency) if adjacency.exists() else None
         if weights is not None:
-            idx = EdgeIndexing(nodes_from_edge_count(weights.size))
+            rows, cols = edge_pairs(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]
             edges = ", ".join(
-                f"{idx.rows[e] + 1}-{idx.cols[e] + 1}:{weights[e]:.4f}"
+                f"{rows[e] + 1}-{cols[e] + 1}:{weights[e]:.4f}"
                 for e in top
                 if weights[e] > 0
             )
@@ -229,7 +226,7 @@ def cmd_inspect(args) -> int:
         if args.edges and weights is not None:
             for e in range(weights.size):
                 print(
-                    f"      edge {idx.rows[e] + 1}-{idx.cols[e] + 1}: "
+                    f"      edge {rows[e] + 1}-{cols[e] + 1}: "
                     f"{weights[e]:.17g}"
                 )
         if args.plot_data:

@@ -154,9 +154,6 @@ class DecompositionResult:
     def center_frequencies_hz(self) -> tuple[float, ...]:
         return tuple(m.center_freq_hz for m in self.modes)
 
-    def mode_sum(self) -> np.ndarray:
-        return np.sum([m.mode_samples for m in self.modes], axis=0)
-
 
 def validate_config(
     config: DecompositionConfig, signal: TimeVaryingGraphSignal

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class TvgmdError(Exception):
@@ -33,10 +33,6 @@ class NegativeWeightError(TvgmdError):
     """Edge weights must be nonnegative."""
 
 
-class SolveFailureError(TvgmdError):
-    """A linear solve failed; the system matrix is corrupted."""
-
-
 class NyquistViolationError(TvgmdError):
     """A requested tone is at or above half the sampling rate."""
 
@@ -47,7 +43,3 @@ class SignalParseError(TvgmdError):
 
 class EmptyFileError(TvgmdError):
     """The input file contains no data rows."""
-
-
-class NotConvergedWarning(UserWarning):
-    """An iterative solver hit its iteration cap before its tolerance."""

@@ -13,48 +13,48 @@ onto exact zeros, the free edges take a Newton step, and a projected Armijo
 line search keeps every degree positive. The free-edge Newton system
 ``(2*gamma*I + Q_F' diag(deg^-2) Q_F) p = -grad_F`` is solved in node space
 by the Woodbury identity: one N x N SPD solve plus O(M) work per step.
-A solve stops on the KKT residual ``||w - max(w - grad f(w), 0)||_inf``.
+Where ``gamma * deg^2`` drowns in rounding, that N x N matrix can be
+exactly singular; such a step falls back to the scaled gradient step on
+every edge. A solve stops on the KKT residual
+``||w - max(w - grad f(w), 0)||_inf``.
 
-The problems of a batch run in lockstep: every sweep takes one Newton step
-on each unfinished row, with all the N x N systems in one batched solve.
-Each row keeps its own active set, step length and stopping test, and a
-finished row drops out of the batch. Every per-row quantity is computed in
-the same order whatever the batch holds, so a row's result is
-bit-identical to solving it alone.
+:func:`learn_graph_batch` is the one entry point. The problems of a batch
+run in lockstep: every sweep takes one Newton step on each unfinished row,
+with all the N x N systems in one batched solve. Each row keeps its own
+active set, step length and stopping test, and a finished row drops out of
+the batch. Every per-row quantity is computed in the same order whatever
+the batch holds, so a row's result is bit-identical to solving it alone;
+one graph is learned as ``learn_graph_batch(z[None], beta, gamma,
+np.zeros((1, M)))``.
 """
 
 from __future__ import annotations
 
-import warnings
+import contextlib
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError, NotConvergedWarning
-from .graph_ops import (
-    EdgeIndexing,
-    edge_degrees,
-    edge_sums,
-    nodes_from_edge_count,
-)
+from .errors import DegenerateInputError, DimensionMismatchError
+from .graph_ops import edge_degrees, edge_pairs, edge_sums, nodes_from_edge_count
 
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
 _ROUNDING = 1e-13  # relative objective change below which f cannot judge a step
 _ACTIVE_CAP = 1e-3  # largest weight an edge may have and still be held at zero
 
 
-def _evaluate(v, lin, gamma, idx):
+def _evaluate(v, lin, gamma, n):
     """Objective, degrees, gradient and KKT residual of each row of ``v``.
 
     ``lin`` holds the rows' ``2*beta*z``. A row with a nonpositive degree
     gets value and residual ``+inf``; its gradient is meaningless.
     """
-    deg = edge_degrees(v, idx)
+    deg = edge_degrees(v, n)
     bad = None
     safe = deg
     if deg.size and deg.min() <= 0.0:
         bad = deg.min(axis=1) <= 0.0
         safe = np.where(bad[:, None], 1.0, deg)  # keeps 1/deg and log finite
-    grad = lin + 2.0 * gamma * v - edge_sums(1.0 / safe, idx)
+    grad = lin + 2.0 * gamma * v - edge_sums(1.0 / safe, n)
     value = (
         (lin * v).sum(axis=1) + gamma * (v * v).sum(axis=1)
         - np.log(safe).sum(axis=1)
@@ -78,9 +78,9 @@ def graph_objective(
     z = np.asarray(z, dtype=float)
     if w.shape != z.shape or w.ndim not in (1, 2):
         raise DimensionMismatchError("w and z must have the same shape")
-    idx = EdgeIndexing(nodes_from_edge_count(w.shape[-1]))
+    n = nodes_from_edge_count(w.shape[-1])
     values = _evaluate(
-        np.atleast_2d(w), 2.0 * beta * np.atleast_2d(z), gamma, idx
+        np.atleast_2d(w), 2.0 * beta * np.atleast_2d(z), gamma, n
     )[0]
     return float(values[0]) if w.ndim == 1 else values
 
@@ -104,6 +104,12 @@ def learn_graph_batch(
     move, stops as it stands. Finished rows leave the batch, and every row
     comes out bit-identical to a batch of that row alone.
 
+    The start point changes the path, not the optimum; a warm start that
+    leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge.
+    Edges whose optimum is zero come out as exact zeros. Where the change
+    in ``f`` is below its rounding error, a step is accepted if it lowers
+    the KKT residual.
+
     Returns
     -------
     (weights, iterations, converged)
@@ -125,8 +131,8 @@ def learn_graph_batch(
         raise DegenerateInputError("gamma must be positive")
     if beta < 0:
         raise DegenerateInputError("beta must be nonnegative")
-    idx = EdgeIndexing(nodes_from_edge_count(m))
-    n, rows, cols = idx.n_nodes, idx.rows, idx.cols
+    n = nodes_from_edge_count(m)
+    rows, cols = edge_pairs(n)
     diagonal = np.arange(n)
     out_w = np.empty_like(zs)
     iters = np.empty(n_prob, dtype=int)
@@ -137,9 +143,9 @@ def learn_graph_batch(
     live = np.arange(n_prob)  # batch row of each unfinished problem
     lin = 2.0 * beta * zs
     w = np.maximum(w_inits, 0.0)
-    isolated = edge_degrees(w, idx).min(axis=1) <= 0.0
+    isolated = edge_degrees(w, n).min(axis=1) <= 0.0
     w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
-    f, deg, g, res = _evaluate(w, lin, gamma, idx)
+    f, deg, g, res = _evaluate(w, lin, gamma, n)
     for step in range(max_iter + 1):
         met = res <= eps * np.maximum(1.0, w.max(axis=1))
         stop = met | (step == max_iter)
@@ -158,16 +164,30 @@ def learn_graph_batch(
         g_free = np.where(active, 0.0, g)
         g_active = g - g_free
         # Active edges: gradient step scaled by the Hessian diagonal.
-        p = -g / (2.0 * gamma + edge_sums(deg**-2.0, idx))
+        p = -g / (2.0 * gamma + edge_sums(deg**-2.0, n))
         # Free edges: Newton step through the N x N Woodbury systems, each
         # with a 1 per free edge off the diagonal.
         s = np.zeros((len(w), n, n))
         s[:, rows, cols] = s[:, cols, rows] = free
         s[:, diagonal, diagonal] = (
-            2.0 * gamma * deg * deg + edge_degrees(free, idx)
+            2.0 * gamma * deg * deg + edge_degrees(free, n)
         )
-        y = np.linalg.solve(s, edge_degrees(g_free, idx)[:, :, None])[:, :, 0]
-        p = np.where(active, p, (edge_sums(y, idx) - g) / (2.0 * gamma))
+        rhs = edge_degrees(g_free, n)[:, :, None]
+        try:
+            y = np.linalg.solve(s, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular system: solve row by row
+            y = np.full(deg.shape, np.nan)
+            for r in range(len(y)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    y[r] = np.linalg.solve(s[r], rhs[r])[:, 0]
+        # A row whose system is singular, or whose y is not finite, keeps
+        # the scaled gradient step on all its edges: a non-finite step
+        # would halve the step length to 0, and 0 * inf = nan never passes.
+        if not np.isfinite(y).all():
+            newton = np.isfinite(y).all(axis=1)
+            y[~newton] = 0.0
+            free &= newton[:, None]
+        p = np.where(free, (edge_sums(y, n) - g) / (2.0 * gamma), p)
         newton_decrease = -(g_free * p).sum(axis=1)
 
         # Projected line search, each row halving its own step length. The
@@ -178,7 +198,7 @@ def learn_graph_batch(
         while True:
             trial = np.maximum(w + a[:, None] * p, 0.0)
             stuck = (trial == w).all(axis=1)  # no representable step remains
-            f_t, deg_t, g_t, res_t = _evaluate(trial, lin, gamma, idx)
+            f_t, deg_t, g_t, res_t = _evaluate(trial, lin, gamma, n)
             decrease = a * newton_decrease + (
                 (g_active * (w - trial)).sum(axis=1)
             )
@@ -206,63 +226,3 @@ def learn_graph_batch(
                 break
         w, f, deg, g, res = trial, f_t, deg_t, g_t, res_t
     return out_w, iters, done
-
-
-def learn_graph(
-    z: np.ndarray,
-    beta: float,
-    gamma: float,
-    w_init: np.ndarray | None = None,
-    max_iter: int = 2000,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Learn edge weights for one distance vector.
-
-    Parameters
-    ----------
-    z : np.ndarray
-        Nonnegative pairwise-distance edge vector of length N(N-1)/2.
-    beta : float
-        Smoothness weight multiplying ``w'z``; larger values suppress edges
-        between dissimilar nodes harder.
-    gamma : float
-        Weight-magnitude penalty; must be positive (makes f strictly convex).
-    w_init : np.ndarray, optional
-        Warm start; zeros when omitted.
-    max_iter, eps : int, float
-        Cap on Newton steps and tolerance on the KKT residual, relative to
-        ``max(1, max(w))``.
-
-    Returns
-    -------
-    np.ndarray
-        Learned nonnegative edge weights. If the tolerance is not met a
-        :class:`NotConvergedWarning` is emitted and the last iterate is
-        returned; its node degrees are still strictly positive.
-
-    Notes
-    -----
-    The start point changes the path, not the optimum; a warm start that
-    leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge.
-    Edges whose optimum is zero come out as exact zeros. Where the change
-    in ``f`` is below its rounding error, a step is accepted if it lowers
-    the KKT residual; a step that cannot move ``w`` ends the solve.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DimensionMismatchError("z must be one-dimensional")
-    if w_init is None:
-        w_init = np.zeros_like(z)
-    w_init = np.asarray(w_init, dtype=float)
-    if w_init.shape != z.shape:
-        raise DimensionMismatchError("w_init must match z in length")
-    weights, iters, converged = learn_graph_batch(
-        z[None, :], beta, gamma, w_init[None, :], max_iter=max_iter, eps=eps
-    )
-    if not converged[0]:
-        warnings.warn(
-            f"graph learner stopped at step {iters[0]} before eps={eps}",
-            NotConvergedWarning,
-            stacklevel=2,
-        )
-    return weights[0]

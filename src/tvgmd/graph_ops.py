@@ -4,7 +4,7 @@ Edge weights live in the upper-triangular row-major order: for ``N`` nodes
 the vector has ``M = N(N-1)/2`` entries and entry ``e`` corresponds to the
 pair ``(m, n)`` with ``m < n``, pairs enumerated as ``(0,1), (0,2), ...,
 (N-2, N-1)``. This layout is the canonical one for every file format and
-every function in the package. :class:`EdgeIndexing` holds the node pair of
+every function in the package. :func:`edge_pairs` gives the node pair of
 each edge as ``rows``/``cols`` arrays. The degree operator ``Q``
 (:func:`edge_degrees`) and its adjoint (:func:`edge_sums`) work on edge
 vectors directly; only :func:`geodesic_update` forms the N x N matrices
@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeWeightError,
-    NonFiniteInputError,
-    SolveFailureError,
-)
+from .errors import DimensionMismatchError, NegativeWeightError, NonFiniteInputError
 
 
 def n_edges(n_nodes: int) -> int:
@@ -42,36 +36,25 @@ def nodes_from_edge_count(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _triu_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangular index arrays for ``n_nodes``, built once per node
-    count and read-only, since every caller shares them."""
+def edge_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node pair ``(rows[e], cols[e])`` of each edge ``e`` of ``n_nodes``.
+
+    Built once per node count and read-only, since every caller shares
+    them. Fewer than 2 nodes raise :class:`DimensionMismatchError`.
+    """
+    if n_nodes < 2:
+        raise DimensionMismatchError("a graph needs at least 2 nodes")
     rows, cols = np.triu_indices(n_nodes, k=1)
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
 
 
-@dataclass(frozen=True)
-class EdgeIndexing:
-    """Bijection between edge positions and upper-triangular node pairs."""
-
-    n_nodes: int
-    rows: np.ndarray = field(init=False, repr=False)
-    cols: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n_nodes < 2:
-            raise DimensionMismatchError("a graph needs at least 2 nodes")
-        rows, cols = _triu_pairs(self.n_nodes)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-
 @functools.lru_cache(maxsize=64)
 def _batch_pairs(n_nodes: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """Node indices of ``batch`` stacked edge vectors, row ``b`` offset by
     ``b * n_nodes``; built once per shape and read-only."""
-    rows, cols = _triu_pairs(n_nodes)
+    rows, cols = edge_pairs(n_nodes)
     offsets = (n_nodes * np.arange(batch))[:, None]
     rows, cols = (rows + offsets).ravel(), (cols + offsets).ravel()
     rows.flags.writeable = False
@@ -79,7 +62,7 @@ def _batch_pairs(n_nodes: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def edge_degrees(w: np.ndarray, idx: EdgeIndexing) -> np.ndarray:
+def edge_degrees(w: np.ndarray, n_nodes: int) -> np.ndarray:
     """Node degrees of each row of a ``(B, M)`` stack of edge vectors.
 
     This is the degree operator ``Q``: ``(Qw)[n]`` sums ``w`` over the edges
@@ -88,16 +71,16 @@ def edge_degrees(w: np.ndarray, idx: EdgeIndexing) -> np.ndarray:
     serves all rows. A row's bins receive only that row's edges, in edge
     order, so each row sums in the same order as it would alone and batch
     rows are bit-identical to single-row calls. No validation: callers pass
-    rows of length ``M`` for ``idx``.
+    rows of length ``M`` for ``n_nodes``.
     """
-    b, n = w.shape[0], idx.n_nodes
+    b, n = w.shape[0], n_nodes
     rows, cols = _batch_pairs(n, b)
     flat = w.ravel()
     degrees = np.bincount(rows, flat, b * n) + np.bincount(cols, flat, b * n)
     return degrees.reshape(b, n)
 
 
-def edge_sums(d: np.ndarray, idx: EdgeIndexing) -> np.ndarray:
+def edge_sums(d: np.ndarray, n_nodes: int) -> np.ndarray:
     """Adjoint of :func:`edge_degrees`: ``d[m] + d[n]`` for each edge.
 
     ``d`` is a ``(B, N)`` stack of node vectors; the result is ``(B, M)``.
@@ -105,9 +88,9 @@ def edge_sums(d: np.ndarray, idx: EdgeIndexing) -> np.ndarray:
     beats indexing the columns of ``d``. No validation.
     """
     b = d.shape[0]
-    rows, cols = _batch_pairs(idx.n_nodes, b)
+    rows, cols = _batch_pairs(n_nodes, b)
     flat = d.ravel()
-    return (flat[rows] + flat[cols]).reshape(b, len(idx.rows))
+    return (flat[rows] + flat[cols]).reshape(b, n_edges(n_nodes))
 
 
 def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -136,10 +119,10 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
         )
     if not np.all(np.isfinite(U)):
         raise NonFiniteInputError("mode matrix contains non-finite entries")
-    idx = EdgeIndexing(U.shape[-2])
+    rows, cols = edge_pairs(U.shape[-2])
     G = U @ U.swapaxes(-1, -2)
     sq = np.diagonal(G, axis1=-2, axis2=-1)
-    z = sq[..., idx.rows] + sq[..., idx.cols] - 2.0 * G[..., idx.rows, idx.cols]
+    z = sq[..., rows] + sq[..., cols] - 2.0 * G[..., rows, cols]
     # Gram-based distances can dip a hair below zero for identical rows.
     z = np.maximum(z, 0.0)
     if normalize:
@@ -160,12 +143,13 @@ def geodesic_update(
     raises :class:`NonFiniteInputError`.
 
     ``I + beta L`` is symmetric positive definite for ``beta >= 0`` and
-    nonnegative weights; a Cholesky factorization checks that. The K
-    inverses are then applied as one batched matrix product, which for
-    small N and many columns is several times faster than triangular
-    solves. The explicit inverse is safe here: the eigenvalues of L lie in
-    ``[0, 2 * max degree]``, so ``cond(I + beta L) <= 1 + 2*beta*max
-    degree`` and the product's error stays within that factor of rounding.
+    nonnegative weights: its eigenvalues are at least 1, so no check is
+    needed. The K inverses are applied as one batched matrix product,
+    which for small N and many columns is several times faster than
+    triangular solves. The explicit inverse is safe here: the eigenvalues
+    of L lie in ``[0, 2 * max degree]``, so ``cond(I + beta L) <= 1 +
+    2*beta*max degree`` and the product's error stays within that factor
+    of rounding.
     """
     F = np.asarray(f, dtype=float)
     w = np.asarray(edge_w, dtype=float)
@@ -187,15 +171,11 @@ def geodesic_update(
     if beta == 0.0:
         return F.copy()
     n = F.shape[1]
-    idx = EdgeIndexing(n)
+    rows, cols = edge_pairs(n)
     A = np.zeros((w.shape[0], n, n))
-    A[:, idx.rows, idx.cols] = -beta * w
+    A[:, rows, cols] = -beta * w
     A += A.swapaxes(1, 2)
     diagonal = np.arange(n)
-    A[:, diagonal, diagonal] = 1.0 + beta * edge_degrees(w, idx)
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - corrupted L only
-        raise SolveFailureError(f"(I + beta L) is not SPD: {exc}") from exc
+    A[:, diagonal, diagonal] = 1.0 + beta * edge_degrees(w, n)
     return np.linalg.inv(A) @ F
 

@@ -34,13 +34,14 @@ EDGE_ORDER = "upper-triangular-row-major"
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Reproducibility record: together with the input file this pins a run."""
+    """Provenance of a run: together with the input file this pins it.
+
+    The run's outcome (centers, iterations, convergence) is read from the
+    result itself by :func:`write_result`.
+    """
 
     config: DecompositionConfig
     input_sha256: str
-    center_freqs_hz: tuple[float, ...]
-    iterations: int
-    converged: bool
     timing_ms: float
     sample_rate_hz: float
     format_version: str = FORMAT_VERSION
@@ -247,9 +248,9 @@ def write_result(
         "config": asdict(manifest.config),
         "sample_rate_hz": manifest.sample_rate_hz,
         "input_sha256": manifest.input_sha256,
-        "center_freqs_hz": list(manifest.center_freqs_hz),
-        "iterations": manifest.iterations,
-        "converged": manifest.converged,
+        "center_freqs_hz": list(result.center_frequencies_hz),
+        "iterations": result.iterations,
+        "converged": result.converged,
         "timing_ms": manifest.timing_ms,
         "mvmd_baseline": mvmd_baseline,
         "residual_fro": float(np.linalg.norm(result.residual)),

@@ -147,6 +147,17 @@ class TestDecomposeCommand:
         assert read_summary_json(run_dir)["converged"] is False
         assert (run_dir / "summary.json").exists()
 
+    def test_singular_graph_solve_exits_not_converged(self, tmp_path, capsys):
+        # 1e4 x the paper preset makes a graph learner Newton system
+        # singular; the run finishes and reports it did not converge
+        _, signal_path = run_synth(tmp_path)
+        scaled = tmp_path / "scaled.csv"
+        write_matrix_csv(scaled, 1e4 * read_matrix_csv(signal_path))
+        capsys.readouterr()
+        code, run_dir = run_decompose(tmp_path, scaled, "--k", "4")
+        assert code == 3 and capsys.readouterr().err == ""
+        assert read_summary_json(run_dir)["converged"] is False
+
     def test_threads_flag_is_usage_error(self, tmp_path, small_signal):
         # the flag never had an effect and is gone; argparse rejects it
         with pytest.raises(SystemExit) as exc:

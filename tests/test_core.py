@@ -133,7 +133,8 @@ class TestDomainTypes:
             converged=True,
             trace=(IterationSnapshot(1, 0.0, (0.0, 0.0), 0.0),),
         )
-        assert result.mode_sum() + result.residual == pytest.approx(x, abs=1e-12)
+        total = np.sum([m.mode_samples for m in result.modes], axis=0)
+        assert total + result.residual == pytest.approx(x, abs=1e-12)
 
 
 class TestObjectiveValue:

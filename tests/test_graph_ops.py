@@ -9,8 +9,8 @@ from tvgmd.errors import (
     NonFiniteInputError,
 )
 from tvgmd.graph_ops import (
-    EdgeIndexing,
     edge_degrees,
+    edge_pairs,
     edge_sums,
     geodesic_update,
     n_edges,
@@ -49,10 +49,10 @@ def brute_force_distances(U):
 
 class TestEdgeIndexing:
     def test_pair_order_is_row_major_upper_triangular(self):
-        idx = EdgeIndexing(4)
+        rows, cols = edge_pairs(4)
         expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         assert node_pairs(4) == expected
-        assert list(zip(idx.rows.tolist(), idx.cols.tolist())) == expected
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
 
     def test_edge_count_roundtrip(self):
         for n in range(2, 30):
@@ -62,17 +62,25 @@ class TestEdgeIndexing:
         with pytest.raises(DimensionMismatchError):
             nodes_from_edge_count(4)
 
+    def test_one_node_graph_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            edge_pairs(1)
+        with pytest.raises(DimensionMismatchError):
+            pairwise_distances(np.ones((1, 8)))
+        with pytest.raises(DimensionMismatchError):
+            geodesic_update(np.ones((2, 1, 8)), np.zeros((2, 0)), 0.5)
+
 
 def degrees_of(w):
     """Degree operator ``Q w`` of one edge vector through the stacked kernel."""
     w = np.asarray(w, dtype=float)
-    return edge_degrees(w[None, :], EdgeIndexing(nodes_from_edge_count(w.size)))[0]
+    return edge_degrees(w[None, :], nodes_from_edge_count(w.size))[0]
 
 
 def degrees_adjoint(d):
     """Adjoint ``Q' d`` of one node vector through the stacked kernel."""
     d = np.asarray(d, dtype=float)
-    return edge_sums(d[None, :], EdgeIndexing(d.size))[0]
+    return edge_sums(d[None, :], d.size)[0]
 
 
 class TestApplyQ:
@@ -108,13 +116,13 @@ class TestApplyQ:
         )
 
     def test_stack_matches_single_rows(self):
-        idx = EdgeIndexing(6)
+        rows, cols = edge_pairs(6)
         w = rng.random((5, n_edges(6)))
         d = rng.random((5, 6))
-        degrees, sums = edge_degrees(w, idx), edge_sums(d, idx)
+        degrees, sums = edge_degrees(w, 6), edge_sums(d, 6)
         for row in range(5):
             assert np.array_equal(degrees[row], degrees_of(w[row]))
-            assert np.array_equal(sums[row], d[row, idx.rows] + d[row, idx.cols])
+            assert np.array_equal(sums[row], d[row, rows] + d[row, cols])
 
 
 class TestPairwiseDistances:

@@ -59,9 +59,6 @@ def manifest_for(result, fs=64.0):
     return RunManifest(
         config=DecompositionConfig(K=len(result.modes), alpha=100.0),
         input_sha256="0" * 64,
-        center_freqs_hz=result.center_frequencies_hz,
-        iterations=result.iterations,
-        converged=result.converged,
         timing_ms=12.5,
         sample_rate_hz=fs,
     )
