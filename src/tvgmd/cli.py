@@ -28,7 +28,6 @@ from .decomposer import decompose, decompose_mvmd
 from .errors import DegenerateModeError, TvgmdError
 from .graph_ops import edge_pairs, nodes_from_edge_count
 from .io_formats import (
-    RunManifest,
     read_adjacency_json,
     read_matrix_csv,
     read_signal_csv,
@@ -71,12 +70,10 @@ def cmd_synth(args) -> int:
         spec = _spec_from_json(args.spec)
     else:
         spec = paper_preset()
-    if args.snr is not None or args.seed != 0:
-        spec = dataclasses.replace(
-            spec,
-            snr_db=args.snr if args.snr is not None else spec.snr_db,
-            seed=args.seed,
-        )
+    if args.snr is not None:
+        spec = dataclasses.replace(spec, snr_db=args.snr)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     signal, truth = generate(spec)
     out = Path(args.out)
     write_signal_csv(out, signal)
@@ -134,13 +131,12 @@ def cmd_decompose(args) -> int:
     else:
         result = decompose(signal, config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    manifest = RunManifest(
-        config=config,
+    write_result(
+        args.out, result, config,
+        sample_rate_hz=args.fs,
         input_sha256=sha256_of_file(args.input),
         timing_ms=elapsed_ms,
-        sample_rate_hz=args.fs,
     )
-    write_result(args.out, result, manifest)
     for k, mode in enumerate(result.modes, start=1):
         print(f"mode {k}: {mode.center_freq_hz:.4f} Hz")
     status = "converged" if result.converged else "NOT converged"
@@ -151,25 +147,18 @@ def cmd_decompose(args) -> int:
     return 0 if result.converged else 3
 
 
-def _mode_paths(run_dir: Path) -> list[Path]:
-    paths = []
-    k = 1
-    while (run_dir / f"mode_{k}.csv").exists():
-        paths.append(run_dir / f"mode_{k}.csv")
-        k += 1
-    return paths
-
-
 def cmd_inspect(args) -> int:
     run_dir = Path(args.run)
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise TvgmdError(f"{run_dir} does not contain summary.json")
+    # The summary alone says which modes and graphs the bundle holds.
     summary = read_summary_json(run_dir)
     try:
         fs = float(summary.get("sample_rate_hz", 0.0))
-        centers = summary["center_freqs_hz"]
+        centers = [float(hz) for hz in summary["center_freqs_hz"]]
         mirror = bool(summary["config"]["mirror_extend"])
+        has_graphs = not summary["mvmd_baseline"]
         converged, iterations = summary["converged"], summary["iterations"]
         # Per-mode graph-solve telemetry; summaries written before it
         # existed, and beta = 0 runs, have none.
@@ -182,9 +171,8 @@ def cmd_inspect(args) -> int:
         raise TvgmdError(f"summary.json: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise TvgmdError(f"summary.json: {exc}") from None
-    mode_paths = _mode_paths(run_dir)
-    if not mode_paths:
-        raise TvgmdError(f"{run_dir} contains no mode CSVs")
+    if not centers:
+        raise TvgmdError("summary.json lists no modes")
 
     print(f"run: {run_dir}  converged={converged} iterations={iterations}")
     if graph_solves:
@@ -193,13 +181,12 @@ def cmd_inspect(args) -> int:
             f"  missed tolerance: {graph_solves.count(False)}"
         )
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
-    for k, path in enumerate(mode_paths, start=1):
-        mode = read_matrix_csv(path)
+    for k, center_hz in enumerate(centers, start=1):
+        mode = read_matrix_csv(run_dir / f"mode_{k}.csv")
         coefficients, grid, _ = to_coefficients(mode, mirror)
         node_power, grid = bin_power(coefficients, grid, mirror)
         power = node_power.sum(axis=0)
         t_ext = 2 * mode.shape[1] if mirror else mode.shape[1]
-        center_hz = centers[k - 1]
         try:
             center_norm = mean_frequency(power, grid)
         except DegenerateModeError:
@@ -210,9 +197,8 @@ def cmd_inspect(args) -> int:
             lo = max(0, center_bin - halfwidth)
             band = power[lo : center_bin + halfwidth + 1]
             concentration = band.sum() / power.sum()
-        adjacency = run_dir / f"adjacency_{k}.json"
-        weights = read_adjacency_json(adjacency) if adjacency.exists() else None
-        if weights is not None:
+        if has_graphs:
+            weights = read_adjacency_json(run_dir / f"adjacency_{k}.json")
             rows, cols = edge_pairs(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]
             edges = ", ".join(
@@ -223,7 +209,7 @@ def cmd_inspect(args) -> int:
         else:
             edges = "(no graph)"
         print(f"{k:4d}  {center_hz:9.4f}   {concentration:10.4f}  {edges}")
-        if args.edges and weights is not None:
+        if args.edges and has_graphs:
             for e in range(weights.size):
                 print(
                     f"      edge {rows[e] + 1}-{cols[e] + 1}: "
@@ -236,7 +222,7 @@ def cmd_inspect(args) -> int:
             table = np.column_stack([hz, np.sqrt(node_power).T])
             write_matrix_csv(run_dir / f"spectrum_{k}.csv", table)
     if args.plot_data:
-        print(f"wrote {len(mode_paths)} spectrum CSVs to {run_dir}")
+        print(f"wrote {len(centers)} spectrum CSVs to {run_dir}")
     return 0
 
 
@@ -260,45 +246,51 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="path to a SynthSpec JSON file")
     p_synth.add_argument("--snr", type=float, default=None,
                          help="per-node SNR in dB (default: no noise)")
-    p_synth.add_argument("--seed", type=int, default=0,
-                         help="noise seed (default: 0)")
+    p_synth.add_argument("--seed", type=int, default=None,
+                         help="noise seed (default: the spec's, 0 for a preset)")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=cmd_synth)
 
     p_dec = sub.add_parser("decompose", help="run the decomposition")
+    # The library's defaults; K and alpha have none, so --alpha's is the CLI's.
+    defaults = DecompositionConfig(K=1, alpha=1000.0)
     p_dec.add_argument("--input", required=True, help="signal CSV, one node per row")
     p_dec.add_argument("--fs", type=float, required=True,
                        help="sampling rate of the input in Hz")
     p_dec.add_argument("--header", action="store_true", default=False,
                        help="input CSV has a header line and label column")
     p_dec.add_argument("--k", type=int, required=True, help="number of modes")
-    p_dec.add_argument("--alpha", type=float, default=1000.0,
-                       help="bandwidth penalty (default: 1000)")
-    p_dec.add_argument("--beta", type=float, default=0.1,
+    p_dec.add_argument("--alpha", type=float, default=defaults.alpha,
+                       help="bandwidth penalty (default: %(default)s)")
+    p_dec.add_argument("--beta", type=float, default=defaults.beta,
                        help="graph smoothness weight, 0 disables graphs "
-                            "(default: 0.1)")
-    p_dec.add_argument("--gamma", type=float, default=1.0,
-                       help="edge-weight magnitude penalty (default: 1)")
-    p_dec.add_argument("--tau", type=float, default=0.0,
-                       help="dual ascent step; 0 tolerates noise (default: 0)")
-    p_dec.add_argument("--epsilon", type=float, default=1e-7,
-                       help="convergence tolerance (default: 1e-7)")
-    p_dec.add_argument("--max-iter", type=int, default=500,
-                       help="iteration cap (default: 500)")
+                            "(default: %(default)s)")
+    p_dec.add_argument("--gamma", type=float, default=defaults.gamma,
+                       help="edge-weight magnitude penalty (default: %(default)s)")
+    p_dec.add_argument("--tau", type=float, default=defaults.tau,
+                       help="dual ascent step; 0 tolerates noise "
+                            "(default: %(default)s)")
+    p_dec.add_argument("--epsilon", type=float, default=defaults.epsilon,
+                       help="convergence tolerance (default: %(default)s)")
+    p_dec.add_argument("--max-iter", type=int, default=defaults.max_iter,
+                       help="iteration cap (default: %(default)s)")
     p_dec.add_argument("--omega-init", choices=OMEGA_INIT_CHOICES,
-                       default="zeros",
-                       help="center-frequency initialization (default: zeros)")
+                       default=defaults.omega_init,
+                       help="center-frequency initialization "
+                            "(default: %(default)s)")
     p_dec.add_argument("--no-mirror", action="store_true", default=False,
                        help="disable boundary mirroring")
     p_dec.add_argument("--normalize-distances", action="store_true",
                        default=False,
                        help="divide pairwise distances by their mean")
-    p_dec.add_argument("--graph-max-iter", type=int, default=2000,
+    p_dec.add_argument("--graph-max-iter", type=int,
+                       default=defaults.graph_max_iter,
                        help="cap on graph learner Newton steps per solve "
-                            "(default: 2000)")
-    p_dec.add_argument("--graph-epsilon", type=float, default=1e-5,
+                            "(default: %(default)s)")
+    p_dec.add_argument("--graph-epsilon", type=float,
+                       default=defaults.graph_epsilon,
                        help="graph learner KKT residual tolerance, relative "
-                            "to max(1, largest weight) (default: 1e-5)")
+                            "to max(1, largest weight) (default: %(default)s)")
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
     p_dec.add_argument("--out", required=True, help="output directory")

@@ -11,6 +11,11 @@ it. All writes go through one temp file in the target directory followed
 by an atomic rename (:func:`write_json` for JSON), so a crashed run never
 leaves a truncated file behind; the files get the mode the umask gives
 any new file (0644 under umask 022).
+
+A run bundle is written by ``write_result(out_dir, result, config, *,
+sample_rate_hz, input_sha256, timing_ms)``: one ``mode_k.csv`` per mode,
+one ``adjacency_k.json`` per mode when graphs were learned, and then
+``summary.json``, the index that says which of those files the run has.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +35,6 @@ from .graph_ops import nodes_from_edge_count
 
 FORMAT_VERSION = "tvgmd-1"
 EDGE_ORDER = "upper-triangular-row-major"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance of a run: together with the input file this pins it.
-
-    The run's outcome (centers, iterations, convergence) is read from the
-    result itself by :func:`write_result`.
-    """
-
-    config: DecompositionConfig
-    input_sha256: str
-    timing_ms: float
-    sample_rate_hz: float
-    format_version: str = FORMAT_VERSION
 
 
 def sha256_of_file(path: str | os.PathLike) -> str:
@@ -217,13 +207,22 @@ def read_adjacency_json(path: str | os.PathLike) -> np.ndarray:
 def write_result(
     out_dir: str | os.PathLike,
     result: DecompositionResult,
-    manifest: RunManifest,
+    config: DecompositionConfig,
+    *,
+    sample_rate_hz: float,
+    input_sha256: str,
+    timing_ms: float,
 ) -> list[Path]:
     """Write the full run bundle into ``out_dir``.
 
     Produces ``mode_k.csv`` for k = 1..K, ``adjacency_k.json`` per mode
     when graph learning was active, and ``summary.json`` last, so an
-    existing summary always refers to a complete bundle. Each trace entry
+    existing summary always refers to a complete bundle. It is the
+    bundle's index: ``center_freqs_hz`` gives K and ``mvmd_baseline``
+    says whether adjacency files belong to the run; files an earlier run
+    left in ``out_dir`` stay and are not listed. ``config``,
+    ``sample_rate_hz`` and ``input_sha256`` pin the run together with the
+    input file, and ``timing_ms`` is its wall time. Each trace entry
     carries ``iteration``, ``rel_change``, ``omegas``, ``objective`` (null
     when infinite) and the per-mode ``graph_steps`` and
     ``graph_converged`` of that iteration's graph solves (empty lists
@@ -244,14 +243,14 @@ def write_result(
                 )
             )
     summary = {
-        "format_version": manifest.format_version,
-        "config": asdict(manifest.config),
-        "sample_rate_hz": manifest.sample_rate_hz,
-        "input_sha256": manifest.input_sha256,
+        "format_version": FORMAT_VERSION,
+        "config": asdict(config),
+        "sample_rate_hz": sample_rate_hz,
+        "input_sha256": input_sha256,
         "center_freqs_hz": list(result.center_frequencies_hz),
         "iterations": result.iterations,
         "converged": result.converged,
-        "timing_ms": manifest.timing_ms,
+        "timing_ms": timing_ms,
         "mvmd_baseline": mvmd_baseline,
         "residual_fro": float(np.linalg.norm(result.residual)),
         "trace": [

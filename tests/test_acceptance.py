@@ -26,7 +26,7 @@ from tvgmd.graph_ops import (
     n_edges,
     pairwise_distances,
 )
-from tvgmd.io_formats import RunManifest, write_result
+from tvgmd.io_formats import write_result
 from tvgmd.spectral import wiener_weights
 from tvgmd.synth import generate, paper_preset
 
@@ -325,13 +325,12 @@ def test_criterion_8_determinism(clean_preset_run, tmp_path):
 
     def write_run(result, tag):
         out = tmp_path / tag
-        manifest = RunManifest(
-            config=PRESET_CONFIG,
+        write_result(
+            out, result, PRESET_CONFIG,
+            sample_rate_hz=signal.sample_rate_hz,
             input_sha256="-",
             timing_ms=0.0,
-            sample_rate_hz=signal.sample_rate_hz,
         )
-        write_result(out, result, manifest)
         return {
             p.name: p.read_bytes() for p in sorted(out.iterdir())
         }

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from tvgmd.cli import main
+from tvgmd.core import DecompositionConfig
+from tvgmd.errors import TvgmdError
 from tvgmd.io_formats import read_matrix_csv, read_summary_json, write_matrix_csv
 
 FS_PRESET = "512"
@@ -85,6 +87,31 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert read_matrix_csv(out).shape == (2, 128)
 
+    def test_snr_keeps_the_spec_seed(self, tmp_path):
+        # --snr sets the noise level only; the noise is drawn from the
+        # spec's seed, as if the spec had asked for that SNR itself
+        spec = {
+            "node_terms": [[[4.0, 1.0]], [[8.0, 0.5]]],
+            "sample_rate_hz": 64.0,
+            "duration_s": 2.0,
+            "seed": 5,
+        }
+        outputs = []
+        for name, payload, extra in [
+            ("flag", spec, ("--snr", "6")),
+            ("spec", {**spec, "snr_db": 6.0}, ()),
+        ]:
+            (tmp_path / name).mkdir()
+            spec_path = tmp_path / name / "spec.json"
+            spec_path.write_text(json.dumps(payload))
+            out = tmp_path / name / "sig.csv"
+            assert main(["synth", "--spec", str(spec_path), "--out", str(out),
+                         *extra]) == 0
+            truth = json.loads((tmp_path / name / "ground_truth.json").read_text())
+            assert (truth["seed"], truth["snr_db"]) == (5, 6.0)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_malformed_spec_is_an_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"node_terms": [[[4.0, 1.0]]], "sample_rate')
@@ -105,6 +132,21 @@ class TestDecomposeCommand:
         assert len(summary["center_freqs_hz"]) == 2
         assert (run_dir / "mode_1.csv").exists()
         assert (run_dir / "adjacency_1.json").exists()
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, small_signal,
+                                              monkeypatch):
+        seen = []
+
+        def stop(signal, config):
+            seen.append(config)
+            raise TvgmdError("stopped before solving")
+
+        monkeypatch.setattr("tvgmd.cli.decompose", stop)
+        assert main([
+            "decompose", "--input", str(small_signal), "--fs", "256",
+            "--k", "3", "--out", str(tmp_path / "run"),
+        ]) == 1
+        assert seen == [DecompositionConfig(K=3, alpha=1000.0)]
 
     def test_k_zero_is_validation_error(self, tmp_path, small_signal, capsys):
         code = main([
@@ -196,8 +238,21 @@ class TestInspectCommand:
                 ),
                 "summary.json: missing key 'center_freqs_hz'",
             ),
+            (
+                lambda text: json.dumps(
+                    {**json.loads(text), "center_freqs_hz": [8.0, "x"]}
+                ),
+                "summary.json: ",
+            ),
+            (
+                lambda text: json.dumps(
+                    {**json.loads(text), "center_freqs_hz": []}
+                ),
+                "summary.json lists no modes",
+            ),
         ],
-        ids=["truncated", "not_an_object", "missing_key"],
+        ids=["truncated", "not_an_object", "missing_key", "non_numeric_center",
+             "no_modes"],
     )
     def test_corrupt_summary_is_an_error(self, tmp_path, small_signal, capsys,
                                          corrupt, message):
@@ -231,6 +286,44 @@ class TestInspectCommand:
         capsys.readouterr()
         assert main(["inspect", "--run", str(run_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("name", ["mode_2.csv", "adjacency_2.json"])
+    def test_missing_listed_file_is_an_error(self, tmp_path, small_signal,
+                                             capsys, name):
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        (run_dir / name).unlink()
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    def test_mvmd_run_ignores_an_earlier_runs_graphs(self, tmp_path,
+                                                     small_signal, capsys):
+        run_decompose(tmp_path, small_signal, "--fs", "256")
+        _, run_dir = run_decompose(
+            tmp_path, small_signal, "--fs", "256", "--mvmd"
+        )
+        assert list(run_dir.glob("adjacency_*.json"))  # left from the first
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir), "--edges"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        modes = [line for line in lines if line.split()[0].isdigit()]
+        assert len(modes) == 2
+        assert all(line.endswith("(no graph)") for line in modes)
+        assert not any(line.split()[0] == "edge" for line in lines)
+
+    def test_fewer_modes_ignore_an_earlier_runs_extra_modes(
+        self, tmp_path, small_signal, capsys
+    ):
+        run_decompose(tmp_path, small_signal, "--fs", "256", "--k", "5")
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256",
+                                   "--k", "4")
+        assert (run_dir / "mode_5.csv").exists()  # left from the first
+        capsys.readouterr()
+        assert main(["inspect", "--run", str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines
+                if line.split()[0].isdigit()] == ["1", "2", "3", "4"]
 
     def test_inspect_reports_graph_solves(self, tmp_path, small_signal,
                                           capsys):

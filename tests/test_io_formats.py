@@ -18,7 +18,6 @@ from tvgmd.core import (
 )
 from tvgmd.errors import EmptyFileError, SignalParseError
 from tvgmd.io_formats import (
-    RunManifest,
     format_matrix_csv,
     read_adjacency_json,
     read_matrix_csv,
@@ -56,7 +55,7 @@ def small_result(k=2, n=3, t=8, with_graphs=True):
 
 
 def manifest_for(result, fs=64.0):
-    return RunManifest(
+    return dict(
         config=DecompositionConfig(K=len(result.modes), alpha=100.0),
         input_sha256="0" * 64,
         timing_ms=12.5,
@@ -292,7 +291,7 @@ class TestAdjacencyJson:
 class TestWriteResult:
     def test_bundle_file_inventory(self, tmp_path):
         result = small_result(k=4, n=8, t=16)
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         modes = sorted(p.name for p in tmp_path.glob("mode_*.csv"))
         adjacency = sorted(p.name for p in tmp_path.glob("adjacency_*.json"))
         assert modes == [f"mode_{k}.csv" for k in range(1, 5)]
@@ -303,14 +302,14 @@ class TestWriteResult:
 
     def test_mvmd_bundle_omits_adjacency(self, tmp_path):
         result = small_result(with_graphs=False)
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         assert not list(tmp_path.glob("adjacency_*.json"))
         summary = read_summary_json(tmp_path)
         assert summary["mvmd_baseline"] is True
 
     def test_summary_contents(self, tmp_path):
         result = small_result()
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         summary = read_summary_json(tmp_path)
         assert summary["format_version"] == "tvgmd-1"
         assert summary["config"]["K"] == 2
@@ -332,23 +331,23 @@ class TestWriteResult:
             modes=result.modes, residual=result.residual, iterations=1,
             converged=False, trace=(snapshot,),
         )
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         entry = read_summary_json(tmp_path)["trace"][0]
         assert entry["graph_steps"] == [4, 1]
         assert entry["graph_converged"] == [True, False]
-        write_result(tmp_path, small_result(), manifest_for(result))
+        write_result(tmp_path, small_result(), **manifest_for(result))
         entry = read_summary_json(tmp_path)["trace"][0]
         assert entry["graph_steps"] == entry["graph_converged"] == []
 
     def test_mode_csv_round_trips_samples(self, tmp_path):
         result = small_result()
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         back = read_matrix_csv(tmp_path / "mode_1.csv")
         assert np.array_equal(back, result.modes[0].mode_samples)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         result = small_result()
-        write_result(tmp_path, result, manifest_for(result))
+        write_result(tmp_path, result, **manifest_for(result))
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
 
@@ -364,7 +363,7 @@ class TestWriteResult:
 
         monkeypatch.setattr(io_formats, "format_matrix_csv", explode)
         with pytest.raises(RuntimeError):
-            write_result(tmp_path, result, manifest_for(result))
+            write_result(tmp_path, result, **manifest_for(result))
         monkeypatch.setattr(io_formats, "format_matrix_csv", original)
         assert not (tmp_path / "summary.json").exists()
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
