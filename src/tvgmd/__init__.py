@@ -14,9 +14,8 @@ from .core import (
     IterationSnapshot,
     TimeVaryingGraphSignal,
     objective_value,
-    validate_config,
 )
-from .decomposer import decompose, decompose_mvmd
+from .decomposer import decompose
 from .graph_learner import graph_objective, learn_graph_batch
 from .synth import GroundTruth, SynthSpec, generate, paper_preset
 
@@ -30,11 +29,9 @@ __all__ = [
     "TimeVaryingGraphSignal",
     "__version__",
     "decompose",
-    "decompose_mvmd",
     "generate",
     "graph_objective",
     "learn_graph_batch",
     "objective_value",
     "paper_preset",
-    "validate_config",
 ]

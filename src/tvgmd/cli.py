@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import DecompositionConfig, OMEGA_INIT_CHOICES
-from .decomposer import decompose, decompose_mvmd
+from .decomposer import decompose
 from .errors import DegenerateModeError, TvgmdError
 from .graph_ops import edge_pairs, nodes_from_edge_count
 from .io_formats import (
@@ -106,14 +106,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.k < 1:
-        raise TvgmdError("k must be ≥ 1")
     if args.fs <= 0:
         raise TvgmdError("fs must be positive")
     config = DecompositionConfig(
         K=args.k,
         alpha=args.alpha,
-        beta=args.beta,
+        beta=0.0 if args.mvmd else args.beta,
         gamma=args.gamma,
         tau=args.tau,
         epsilon=args.epsilon,
@@ -126,10 +124,7 @@ def cmd_decompose(args) -> int:
     )
     signal = read_signal_csv(args.input, args.fs, header=args.header)
     started = time.perf_counter()
-    if args.mvmd:
-        result = decompose_mvmd(signal, config)
-    else:
-        result = decompose(signal, config)
+    result = decompose(signal, config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     write_result(
         args.out, result, config,
@@ -173,6 +168,14 @@ def cmd_inspect(args) -> int:
         raise TvgmdError(f"summary.json: {exc}") from None
     if not centers:
         raise TvgmdError("summary.json lists no modes")
+    # Fail before printing anything if a listed file is gone.
+    numbers = range(1, len(centers) + 1)
+    listed = [f"mode_{k}.csv" for k in numbers]
+    if has_graphs:
+        listed += [f"adjacency_{k}.json" for k in numbers]
+    for name in listed:
+        if not (run_dir / name).is_file():
+            raise TvgmdError(f"{run_dir} lacks {name}, listed in summary.json")
 
     print(f"run: {run_dir}  converged={converged} iterations={iterations}")
     if graph_solves:

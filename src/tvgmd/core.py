@@ -1,4 +1,4 @@
-"""Domain types, configuration validation and the monitoring objective.
+"""Domain types, self-checking configuration and the monitoring objective.
 
 All containers are immutable after construction and safe to share across
 threads; arrays are copied in and marked read-only.
@@ -20,6 +20,7 @@ from .graph_ops import n_edges
 from .graph_learner import graph_objective
 
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
+_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -65,7 +66,11 @@ class DecompositionConfig:
     ``graph_max_iter`` caps the Newton steps of each graph solve and
     ``graph_epsilon`` is its KKT residual tolerance, relative to
     ``max(1, largest weight)``; a run in which any graph solve misses it
-    reports ``converged=False``.
+    reports ``converged=False``. ``beta = 0`` is the multivariate mode
+    decomposition baseline.
+
+    A config checks itself when built: every float field must be finite,
+    and any value outside its range raises :class:`BadParameterError`.
     """
 
     K: int
@@ -80,6 +85,35 @@ class DecompositionConfig:
     normalize_distances: bool = False
     graph_max_iter: int = 2000
     graph_epsilon: float = 1e-5
+
+    def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not np.isfinite(getattr(self, name)):
+                raise BadParameterError(f"{name} must be finite")
+        if self.K < 1:
+            raise BadParameterError("K must be >= 1")
+        if not self.alpha > 0:
+            raise BadParameterError("alpha must be positive")
+        if self.beta < 0:
+            raise BadParameterError("beta must be nonnegative")
+        if self.gamma < 0:
+            raise BadParameterError("gamma must be nonnegative")
+        if self.beta > 0 and not self.gamma > 0:
+            raise BadParameterError("gamma must be positive when beta > 0")
+        if self.tau < 0:
+            raise BadParameterError("tau must be nonnegative")
+        if not self.epsilon > 0:
+            raise BadParameterError("epsilon must be positive")
+        if self.max_iter < 1:
+            raise BadParameterError("max_iter must be >= 1")
+        if self.omega_init not in OMEGA_INIT_CHOICES:
+            raise BadParameterError(
+                f"omega_init must be one of {OMEGA_INIT_CHOICES}"
+            )
+        if self.graph_max_iter < 1:
+            raise BadParameterError("graph_max_iter must be >= 1")
+        if not self.graph_epsilon > 0:
+            raise BadParameterError("graph_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,49 +187,6 @@ class DecompositionResult:
     @property
     def center_frequencies_hz(self) -> tuple[float, ...]:
         return tuple(m.center_freq_hz for m in self.modes)
-
-
-def validate_config(
-    config: DecompositionConfig, signal: TimeVaryingGraphSignal
-) -> DecompositionConfig:
-    """Check every invariant of a (config, signal) pair.
-
-    Returns the config unchanged when everything holds; raises
-    :class:`BadDimensionsError`, :class:`NonFiniteInputError` or
-    :class:`BadParameterError` otherwise.
-    """
-    if signal.n_nodes < 2 or signal.n_samples < 4:
-        raise BadDimensionsError(
-            f"need at least 2 nodes and 4 samples, got "
-            f"{signal.n_nodes} x {signal.n_samples}"
-        )
-    if not np.all(np.isfinite(signal.samples)):
-        raise NonFiniteInputError("signal contains NaN or infinite samples")
-    if config.K < 1:
-        raise BadParameterError("K must be >= 1")
-    if not config.alpha > 0:
-        raise BadParameterError("alpha must be positive")
-    if config.beta < 0:
-        raise BadParameterError("beta must be nonnegative")
-    if config.gamma < 0:
-        raise BadParameterError("gamma must be nonnegative")
-    if config.beta > 0 and not config.gamma > 0:
-        raise BadParameterError("gamma must be positive when beta > 0")
-    if config.tau < 0:
-        raise BadParameterError("tau must be nonnegative")
-    if not config.epsilon > 0:
-        raise BadParameterError("epsilon must be positive")
-    if config.max_iter < 1:
-        raise BadParameterError("max_iter must be >= 1")
-    if config.omega_init not in OMEGA_INIT_CHOICES:
-        raise BadParameterError(
-            f"omega_init must be one of {OMEGA_INIT_CHOICES}"
-        )
-    if config.graph_max_iter < 1:
-        raise BadParameterError("graph_max_iter must be >= 1")
-    if not config.graph_epsilon > 0:
-        raise BadParameterError("graph_epsilon must be positive")
-    return config
 
 
 def objective_value(

@@ -32,8 +32,6 @@ copied or squared twice for the stopping rule.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .core import (
@@ -43,9 +41,12 @@ from .core import (
     IterationSnapshot,
     TimeVaryingGraphSignal,
     objective_value,
-    validate_config,
 )
-from .errors import DegenerateModeError
+from .errors import (
+    BadDimensionsError,
+    DegenerateModeError,
+    NonFiniteInputError,
+)
 from .graph_learner import learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
@@ -98,13 +99,23 @@ def decompose(
     the per-iteration trace. If ``max_iter`` is reached first, or any graph
     solve stopped short of its tolerance, the result is still returned with
     ``converged=False``.
+
+    The config checked itself when it was built. The signal needs at least
+    2 nodes and 4 samples (else :class:`BadDimensionsError`) and finite
+    samples only (else :class:`NonFiniteInputError`).
     """
-    validate_config(config, signal)
     x = signal.samples
     n, t = x.shape
+    if n < 2 or t < 4:
+        raise BadDimensionsError(
+            f"need at least 2 nodes and 4 samples, got {n} x {t}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInputError("signal contains NaN or infinite samples")
     fs = signal.sample_rate_hz
     k = config.K
     mirror = config.mirror_extend
+    graphs = config.beta > 0
 
     x_c, grid, weights = to_coefficients(x, mirror)
     root_weights = np.sqrt(weights)
@@ -152,7 +163,7 @@ def decompose(
         # iteration's convergence test divides by
         for mode in range(k):
             np.square(g[mode], out=power)
-            if config.beta == 0:
+            if not graphs:
                 energy[mode] = power.sum(axis=1)
             try:
                 omegas[mode] = mean_frequency(power, grid)
@@ -160,7 +171,7 @@ def decompose(
                 pass  # collapsed mode keeps its previous center
 
         graph_steps, graph_converged = (), ()
-        if config.beta > 0:
+        if graphs:
             # (3) smooth along the previous graphs, all modes in one solve
             g = geodesic_update(g, edge_w, config.beta)
             energy = np.sum(g**2, axis=2)
@@ -213,7 +224,7 @@ def decompose(
         GraphMode(
             mode_samples=modes_time[mode],
             center_freq_hz=float(omegas[mode] * fs),
-            edge_weights=edge_w[mode] if config.beta > 0 else np.empty(0),
+            edge_weights=edge_w[mode] if graphs else np.empty(0),
         )
         for mode in order
     )
@@ -225,10 +236,3 @@ def decompose(
         converged=converged and graphs_solved,
         trace=tuple(trace),
     )
-
-
-def decompose_mvmd(
-    signal: TimeVaryingGraphSignal, config: DecompositionConfig
-) -> DecompositionResult:
-    """Baseline without graph learning: exactly ``decompose`` with beta = 0."""
-    return decompose(signal, dataclasses.replace(config, beta=0.0))

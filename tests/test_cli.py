@@ -154,7 +154,16 @@ class TestDecomposeCommand:
             "--k", "0", "--alpha", "200", "--out", str(tmp_path / "r"),
         ])
         assert code == 1
-        assert "k must be ≥ 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: K must be >= 1\n"
+
+    def test_nan_beta_is_validation_error(self, tmp_path, small_signal,
+                                          capsys):
+        code, run_dir = run_decompose(
+            tmp_path, small_signal, "--fs", "256", "--beta", "nan"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: beta must be finite\n"
+        assert not (run_dir / "summary.json").exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path):
         code = main([
@@ -179,7 +188,9 @@ class TestDecomposeCommand:
         )
         assert code == 0
         assert not list(run_dir.glob("adjacency_*.json"))
-        assert read_summary_json(run_dir)["mvmd_baseline"] is True
+        summary = read_summary_json(run_dir)
+        assert summary["mvmd_baseline"] is True
+        assert summary["config"]["beta"] == 0.0
 
     def test_not_converged_exit_code(self, tmp_path, small_signal):
         code, run_dir = run_decompose(
@@ -293,9 +304,11 @@ class TestInspectCommand:
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         (run_dir / name).unlink()
         capsys.readouterr()
-        assert main(["inspect", "--run", str(run_dir)]) == 1
-        err = capsys.readouterr().err
+        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 1
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and name in err
+        assert out == ""
+        assert not list(run_dir.glob("spectrum_*.csv"))
 
     def test_mvmd_run_ignores_an_earlier_runs_graphs(self, tmp_path,
                                                      small_signal, capsys):

@@ -8,8 +8,8 @@ from tvgmd.core import (
     IterationSnapshot,
     TimeVaryingGraphSignal,
     objective_value,
-    validate_config,
 )
+from tvgmd.decomposer import decompose
 from tvgmd.errors import (
     BadDimensionsError,
     BadParameterError,
@@ -43,38 +43,44 @@ def layout(t):
     return to_coefficients(np.zeros(t))[1:]
 
 
+_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
+
+
 class TestValidateConfig:
+    """A config checks itself when built; decompose checks the signal."""
+
     def test_paper_scale_configuration_passes(self):
         signal = TimeVaryingGraphSignal(
             samples=rng.standard_normal((8, 1024)), sample_rate_hz=512.0
         )
-        config = DecompositionConfig(K=4, alpha=200.0, beta=0.1, gamma=1.0)
-        assert validate_config(config, signal) is config
+        config = DecompositionConfig(K=4, alpha=200.0, beta=0.1, gamma=1.0,
+                                     max_iter=1)
+        assert len(decompose(signal, config).modes) == 4
 
     def test_zero_modes_rejected(self):
-        with pytest.raises(BadParameterError):
-            validate_config(DecompositionConfig(K=0, alpha=1.0), make_signal())
+        with pytest.raises(BadParameterError, match="K must be >= 1"):
+            DecompositionConfig(K=0, alpha=1.0)
 
     def test_nan_samples_rejected(self):
         samples = rng.standard_normal((3, 16))
         samples[1, 5] = np.nan
         signal = TimeVaryingGraphSignal(samples=samples, sample_rate_hz=1.0)
         with pytest.raises(NonFiniteInputError):
-            validate_config(DecompositionConfig(K=1, alpha=1.0), signal)
+            decompose(signal, DecompositionConfig(K=1, alpha=1.0))
 
     def test_too_few_nodes_rejected(self):
         signal = TimeVaryingGraphSignal(
             samples=rng.standard_normal((1, 16)), sample_rate_hz=1.0
         )
         with pytest.raises(BadDimensionsError):
-            validate_config(DecompositionConfig(K=1, alpha=1.0), signal)
+            decompose(signal, DecompositionConfig(K=1, alpha=1.0))
 
     def test_too_few_samples_rejected(self):
         signal = TimeVaryingGraphSignal(
             samples=rng.standard_normal((3, 3)), sample_rate_hz=1.0
         )
         with pytest.raises(BadDimensionsError):
-            validate_config(DecompositionConfig(K=1, alpha=1.0), signal)
+            decompose(signal, DecompositionConfig(K=1, alpha=1.0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -86,11 +92,16 @@ class TestValidateConfig:
             {"alpha": 1.0, "omega_init": "random"},
             {"alpha": 1.0, "max_iter": 0},
             {"alpha": 1.0, "beta": 0.5, "gamma": 0.0},
+        ]
+        + [
+            {"alpha": 1.0, name: value}
+            for name in _FLOAT_FIELDS
+            for value in (np.nan, np.inf, -np.inf)
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(BadParameterError):
-            validate_config(DecompositionConfig(K=2, **kwargs), make_signal())
+            DecompositionConfig(K=2, **kwargs)
 
 
 class TestDomainTypes:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
-from tvgmd.decomposer import decompose, decompose_mvmd
+from tvgmd.decomposer import decompose
 from tvgmd.synth import generate, paper_preset
 from test_graph_ops import node_pairs
 
@@ -54,8 +54,8 @@ class TestBasicBehavior:
         assert rel <= 1e-3
 
     def test_two_tone_separation_mvmd(self):
-        config = DecompositionConfig(K=2, alpha=200.0, tau=0.0)
-        result = decompose_mvmd(two_tone_signal(), config)
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=0.0)
+        result = decompose(two_tone_signal(), config)
         assert result.converged
         freqs = result.center_frequencies_hz
         assert freqs[0] == pytest.approx(8.0, abs=0.5)
@@ -64,28 +64,30 @@ class TestBasicBehavior:
             assert mode.edge_weights.size == 0
 
     def test_modes_sorted_by_frequency(self):
-        result = decompose_mvmd(
-            two_tone_signal(), DecompositionConfig(K=3, alpha=200.0)
+        result = decompose(
+            two_tone_signal(), DecompositionConfig(K=3, alpha=200.0, beta=0.0)
         )
         freqs = result.center_frequencies_hz
         assert list(freqs) == sorted(freqs)
 
     def test_reconstruction_identity(self):
         signal = two_tone_signal()
-        result = decompose_mvmd(signal, DecompositionConfig(K=2, alpha=200.0))
+        result = decompose(
+            signal, DecompositionConfig(K=2, alpha=200.0, beta=0.0)
+        )
         total = np.sum([m.mode_samples for m in result.modes], axis=0)
         total += result.residual
         assert total == pytest.approx(signal.samples, abs=1e-9)
 
     def test_not_converged_flag(self):
-        config = DecompositionConfig(K=2, alpha=200.0, max_iter=2)
-        result = decompose_mvmd(two_tone_signal(), config)
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, max_iter=2)
+        result = decompose(two_tone_signal(), config)
         assert not result.converged
         assert result.iterations == 2
 
     def test_trace_records_every_iteration(self):
-        result = decompose_mvmd(
-            two_tone_signal(), DecompositionConfig(K=2, alpha=200.0)
+        result = decompose(
+            two_tone_signal(), DecompositionConfig(K=2, alpha=200.0, beta=0.0)
         )
         assert [s.iteration for s in result.trace] == list(
             range(1, result.iterations + 1)
@@ -94,8 +96,8 @@ class TestBasicBehavior:
         assert all(np.isfinite(s.objective) for s in result.trace)
 
     def test_converged_means_final_rel_change_below_epsilon(self):
-        config = DecompositionConfig(K=2, alpha=200.0, epsilon=1e-7)
-        result = decompose_mvmd(two_tone_signal(), config)
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, epsilon=1e-7)
+        result = decompose(two_tone_signal(), config)
         assert result.converged
         assert result.trace[-1].rel_change < config.epsilon
 
@@ -156,20 +158,11 @@ class TestGraphPath:
         # a capped solve took its one step; one that met the tolerance
         # before stepping took none
         assert all(n == 1 for n, ok in zip(steps, solved) if not ok)
-        mvmd = decompose_mvmd(two_tone_signal(), config)
-        assert all(s.graph_steps == () and s.graph_converged == ()
-                   for s in mvmd.trace)
-
-    def test_mvmd_is_exactly_beta_zero(self):
-        config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
-        a = decompose_mvmd(two_tone_signal(), config)
-        b = decompose(
+        mvmd = decompose(
             two_tone_signal(), dataclasses.replace(config, beta=0.0)
         )
-        assert a.iterations == b.iterations
-        for mode_a, mode_b in zip(a.modes, b.modes):
-            assert np.array_equal(mode_a.mode_samples, mode_b.mode_samples)
-            assert mode_a.center_freq_hz == mode_b.center_freq_hz
+        assert all(s.graph_steps == () and s.graph_converged == ()
+                   for s in mvmd.trace)
 
     def test_residual_monotone_tail_with_duals(self):
         signal = two_tone_signal()
