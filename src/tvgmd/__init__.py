@@ -13,7 +13,6 @@ from .core import (
     GraphMode,
     IterationSnapshot,
     TimeVaryingGraphSignal,
-    objective_value,
 )
 from .decomposer import decompose
 from .graph_learner import graph_objective, learn_graph_batch
@@ -32,6 +31,5 @@ __all__ = [
     "generate",
     "graph_objective",
     "learn_graph_batch",
-    "objective_value",
     "paper_preset",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,8 +107,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.fs <= 0:
-        raise TvgmdError("fs must be positive")
+    if not (math.isfinite(args.fs) and args.fs > 0):
+        raise TvgmdError("fs must be finite and positive")
     config = DecompositionConfig(
         K=args.k,
         alpha=args.alpha,

@@ -1,4 +1,4 @@
-"""Domain types, self-checking configuration and the monitoring objective.
+"""Domain types and self-checking configuration.
 
 All containers are immutable after construction and safe to share across
 threads; arrays are copied in and marked read-only.
@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteInputError,
 )
 from .graph_ops import n_edges
-from .graph_learner import graph_objective
 
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
 _FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
@@ -42,8 +41,8 @@ class TimeVaryingGraphSignal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2:
             raise BadDimensionsError("samples must be a 2-D (nodes x time) matrix")
-        if not self.sample_rate_hz > 0:
-            raise BadParameterError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise BadParameterError("sample_rate_hz must be finite and positive")
 
     @property
     def n_nodes(self) -> int:
@@ -188,61 +187,3 @@ class DecompositionResult:
     def center_frequencies_hz(self) -> tuple[float, ...]:
         return tuple(m.center_freq_hz for m in self.modes)
 
-
-def objective_value(
-    g: np.ndarray,
-    lam: np.ndarray,
-    omegas: np.ndarray,
-    x: np.ndarray,
-    grid: np.ndarray,
-    weights: np.ndarray,
-    config: DecompositionConfig,
-    edge_w: np.ndarray | None = None,
-    zs: np.ndarray | None = None,
-) -> float:
-    """Augmented-Lagrangian value of a decomposition state.
-
-    ``g`` (K, N, P) holds the mode coefficients, ``lam`` (N, P) the duals,
-    ``omegas`` the K normalized centers and ``x`` (N, P) the input
-    coefficients, all as :func:`~tvgmd.spectral.to_coefficients` lays them
-    out; ``grid`` and ``weights`` (P,) are the frequency of each
-    coefficient and its energy weight. When ``beta > 0``, ``edge_w`` and
-    ``zs`` (K, M) are each mode's edge weights and the pairwise distances
-    of its node signals.
-
-    The spectral part sums, over modes and nodes, the bandwidth penalty
-    ``2*alpha*(omega - omega_k)^2 g^2`` plus the reconstruction quadratic
-    and the dual inner product, each coefficient weighted by its energy
-    weight, so the reconstruction term equals the time-domain
-    ``sum_n ||x_n - sum_k g_n^k||^2``. When ``beta > 0`` the graph part
-    adds ``2*beta*w'z + gamma*||w||^2 - 1'log(Qw)`` per mode, with any
-    nonpositive degree mapped to +inf. Monitoring only; the decomposition
-    never branches on this value.
-    """
-    if (
-        x.shape[-1] != len(grid)
-        or weights.shape != grid.shape
-        or lam.shape != x.shape
-        or g.shape != (len(omegas),) + x.shape
-    ):
-        raise DimensionMismatchError("coefficients, duals and centers disagree")
-
-    sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
-    bandwidth = float(np.sum((g**2).sum(axis=1) * sq * weights))
-    resid = x - g.sum(axis=0)
-    reconstruction_and_dual = float(np.sum((resid + lam) * resid * weights))
-    h1 = 2.0 * config.alpha * bandwidth + reconstruction_and_dual
-
-    h2 = 0.0
-    if config.beta > 0:
-        if (
-            edge_w is None
-            or zs is None
-            or edge_w.shape != zs.shape
-            or edge_w.shape[:-1] != omegas.shape
-        ):
-            raise DimensionMismatchError(
-                "need one edge-weight and one distance vector per mode"
-            )
-        h2 = float(graph_objective(edge_w, zs, config.beta, config.gamma).sum())
-    return h1 + h2

@@ -15,7 +15,8 @@ scaled by ``sqrt(weights)`` are the time-domain distances. The loop stops
 when the summed relative spectral change drops below the tolerance; the
 run counts as converged only if, in addition, every graph solve in it met
 its own tolerance. Each trace snapshot records every mode's Newton step
-count and convergence flag.
+count and convergence flag, and the augmented-Lagrangian objective, which
+is assembled from reductions the loop forms anyway.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline.
@@ -23,11 +24,18 @@ reduces to the multivariate mode decomposition baseline.
 The spectral update is elementwise, so the sweep runs over blocks of
 whole node rows sized to stay in cache (about ``_BLOCK_BYTES`` per
 rows-by-coefficients slice) and gives the same values as one sweep over
-whole arrays. The centers, the convergence sums and the
-objective reduce over whole arrays. Two mode buffers alternate between
-the previous and the next iterate, and each iteration's per-(mode, node)
-energies serve as the next iteration's denominators, so no iterate is
-copied or squared twice for the stopping rule.
+whole arrays. The centers, the residual ``x - sum_k g`` (shared by the
+objective and the dual step), the convergence sums and the objective
+reduce over whole arrays.
+
+Memory: across an iteration the loop keeps two ``(K, N, P)`` mode
+buffers, which alternate between the previous and the next iterate, and
+four ``(N, P)`` arrays: the input coefficients, the duals, the residual
+and the buffer that step (2) squares each mode into. Each iteration's
+per-(mode, node) energies serve as the next iteration's denominators, so
+no iterate is copied or squared twice. When the loop ends all of it but
+the final modes' buffer is released, and the modes are transformed back
+one at a time.
 """
 
 from __future__ import annotations
@@ -40,14 +48,13 @@ from .core import (
     GraphMode,
     IterationSnapshot,
     TimeVaryingGraphSignal,
-    objective_value,
 )
 from .errors import (
     BadDimensionsError,
     DegenerateModeError,
     NonFiniteInputError,
 )
-from .graph_learner import learn_graph_batch
+from .graph_learner import graph_objective, learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
     bin_power,
@@ -89,6 +96,172 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
     return np.sort(omegas)
 
 
+def _sweep(g, g_prev, x_c, lam, gains, blocks):
+    """Step (1): write the next modes into ``g`` from ``g_prev``, one block
+    of node rows at a time; within a block in order over k, so later modes
+    see the earlier modes' fresh spectra. A function of its own so that
+    ``lam / 2`` and the block views are freed when the sweep ends."""
+    half_lam = lam / 2.0
+    for rows in blocks:
+        old = g_prev[:, rows]
+        running_sum = old.sum(axis=0)
+        work = np.empty_like(running_sum)
+        for mode, gain in enumerate(gains):
+            # numerator x - (running_sum - old) + lam / 2, formed in work
+            np.subtract(running_sum, old[mode], out=work)
+            np.subtract(x_c[rows], work, out=work)
+            work += half_lam[rows]
+            updated = np.multiply(work, gain, out=g[mode, rows])
+            running_sum += np.subtract(updated, old[mode], out=work)
+
+
+def _objective(config, omegas, grid, weights, mode_power, resid, lam,
+               edge_w, zs) -> float:
+    """Augmented-Lagrangian value of the loop's state.
+
+    ``mode_power`` (K, P) holds each mode's squared coefficients summed
+    over nodes, ``resid`` (N, P) the input minus the mode sum and ``lam``
+    the duals; ``grid`` and ``weights`` are the frequency and energy
+    weight of each coefficient. The spectral part sums, over modes and
+    nodes, the bandwidth penalty ``2*alpha*(omega - omega_k)^2 g^2`` plus
+    the reconstruction quadratic and the dual inner product, each
+    coefficient weighted by its energy weight, so the reconstruction term
+    equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2``. When
+    ``beta > 0`` the graph part adds ``2*beta*w'z + gamma*||w||^2 -
+    1'log(Qw)`` per mode, with any nonpositive degree mapped to +inf.
+    Monitoring only; the loop never branches on this value.
+    """
+    sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
+    bandwidth = float(np.sum(mode_power * sq * weights))
+    fit = resid + lam  # reconstruction and dual terms, formed in place
+    fit *= resid
+    fit *= weights
+    value = 2.0 * config.alpha * bandwidth + float(np.sum(fit))
+    if config.beta > 0:
+        value += float(
+            graph_objective(edge_w, zs, config.beta, config.gamma).sum()
+        )
+    return value
+
+
+def _iterate(
+    x: np.ndarray, config: DecompositionConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationSnapshot], bool]:
+    """Run the loop on the coefficients of ``x``.
+
+    Returns the final mode coefficients (K, N, P), the centers, the edge
+    weights, the trace and whether the spectral change met the tolerance
+    with every graph solve converged. Every other array of the loop is
+    released when this returns.
+    """
+    n, t = x.shape
+    k = config.K
+    graphs = config.beta > 0
+
+    x_c, grid, weights = to_coefficients(x, config.mirror_extend)
+    root_weights = np.sqrt(weights)
+    blocks = _row_blocks(n, x_c.shape[1])
+
+    # The sweep reads the modes from g_prev and writes the next ones into
+    # the other buffer; the two buffers swap roles every iteration.
+    g = np.zeros((k,) + x_c.shape)
+    spare = np.empty_like(g)
+    energy = np.zeros((k, n))  # per-(mode, node) energy of g
+    mode_power = np.empty((k, x_c.shape[1]))  # per-(mode, coefficient)
+    power = np.empty_like(x_c)
+    resid = np.empty_like(x_c)
+    lam = np.zeros_like(x_c)
+    omegas = _initial_omegas(
+        config, x_c, grid, 2 * t if config.mirror_extend else t
+    )
+    edge_w = np.zeros((k, n_edges(n)))
+    zs = None
+
+    trace: list[IterationSnapshot] = []
+    converged = False
+    graphs_solved = True
+    iteration = 0
+    while iteration < config.max_iter:
+        iteration += 1
+        g_prev, g = g, spare
+        prev, energy = energy, np.empty((k, n))
+
+        # (1) spectral sweep
+        gains = [wiener_weights(grid, omega, config.alpha) for omega in omegas]
+        _sweep(g, g_prev, x_c, lam, gains, blocks)
+
+        # (2) center frequencies from the fresh spectra; without graphs
+        # these are also the final modes, whose energies the next
+        # iteration's convergence test divides by
+        for mode in range(k):
+            np.square(g[mode], out=power)
+            if not graphs:
+                energy[mode] = power.sum(axis=1)
+                mode_power[mode] = power.sum(axis=0)
+            try:
+                omegas[mode] = mean_frequency(power, grid)
+            except DegenerateModeError:
+                pass  # collapsed mode keeps its previous center
+
+        graph_steps, graph_converged = (), ()
+        if graphs:
+            # (3) smooth along the previous graphs, all modes in one solve
+            g = geodesic_update(g, edge_w, config.beta)
+            squares = np.square(g)
+            energy = squares.sum(axis=2)
+            mode_power = squares.sum(axis=1)
+            del squares
+            # (4) re-learn every mode's graph from its new distances
+            zs = pairwise_distances(
+                g * root_weights, normalize=config.normalize_distances
+            )
+            edge_w, steps, solved = learn_graph_batch(
+                zs,
+                config.beta,
+                config.gamma,
+                edge_w,
+                max_iter=config.graph_max_iter,
+                eps=config.graph_epsilon,
+            )
+            graphs_solved &= bool(solved.all())
+            graph_steps = tuple(int(s) for s in steps)
+            graph_converged = tuple(bool(c) for c in solved)
+
+        # (5) dual ascent on the residual, which the objective shares
+        np.subtract(x_c, g.sum(axis=0), out=resid)
+        if config.tau != 0.0:
+            lam += config.tau * resid
+
+        # (6) convergence on the summed per-(mode, node) relative change;
+        # the change is formed in g_prev's buffer, the next sweep's output
+        change = np.subtract(g, g_prev, out=g_prev)
+        diff = np.sum(np.square(change, out=change), axis=2)
+        rel_change = float(np.sum(diff / (prev + _EPS)))
+        spare = g_prev
+
+        # tests/test_core.py checks the objective against a whole-state
+        # reference by reading this frame's g, lam, omegas, x_c, grid,
+        # weights, edge_w and zs when the snapshot is built; keep those
+        # names, or change that harness with them.
+        trace.append(
+            IterationSnapshot(
+                iteration=iteration,
+                rel_change=rel_change,
+                omegas=tuple(float(o) for o in omegas),
+                objective=_objective(
+                    config, omegas, grid, weights, mode_power, resid, lam,
+                    edge_w, zs,
+                ),
+                graph_steps=graph_steps,
+                graph_converged=graph_converged,
+            )
+        )
+        if rel_change < config.epsilon:
+            converged = True
+            break
+    return g, omegas, edge_w, trace, converged and graphs_solved
+
+
 def decompose(
     signal: TimeVaryingGraphSignal, config: DecompositionConfig
 ) -> DecompositionResult:
@@ -112,127 +285,26 @@ def decompose(
         )
     if not np.all(np.isfinite(x)):
         raise NonFiniteInputError("signal contains NaN or infinite samples")
-    fs = signal.sample_rate_hz
-    k = config.K
-    mirror = config.mirror_extend
-    graphs = config.beta > 0
+    g, omegas, edge_w, trace, converged = _iterate(x, config)
 
-    x_c, grid, weights = to_coefficients(x, mirror)
-    root_weights = np.sqrt(weights)
-    blocks = _row_blocks(n, x_c.shape[1])
-
-    # The sweep reads the modes from g_prev and writes the next ones into
-    # the other buffer; the two buffers swap roles every iteration.
-    g = np.zeros((k,) + x_c.shape)
-    spare = np.empty_like(g)
-    energy = np.zeros((k, n))  # per-(mode, node) energy of g
-    power = np.empty_like(x_c)
-    lam = np.zeros_like(x_c)
-    omegas = _initial_omegas(config, x_c, grid, 2 * t if mirror else t)
-    edge_w = np.zeros((k, n_edges(n)))
-    zs = None
-
-    trace: list[IterationSnapshot] = []
-    converged = False
-    graphs_solved = True
-    iteration = 0
-    while iteration < config.max_iter:
-        iteration += 1
-        g_prev, g = g, spare
-        prev, energy = energy, np.empty((k, n))
-
-        # (1) spectral sweep, one block of node rows at a time; within a
-        # block in order over k, so later modes see the earlier modes'
-        # fresh spectra
-        gains = [wiener_weights(grid, omega, config.alpha) for omega in omegas]
-        half_lam = lam / 2.0
-        for rows in blocks:
-            old = g_prev[:, rows]
-            running_sum = old.sum(axis=0)
-            work = np.empty_like(running_sum)
-            for mode in range(k):
-                # numerator x - (running_sum - old) + lam / 2, formed in work
-                np.subtract(running_sum, old[mode], out=work)
-                np.subtract(x_c[rows], work, out=work)
-                work += half_lam[rows]
-                updated = np.multiply(work, gains[mode], out=g[mode, rows])
-                running_sum += np.subtract(updated, old[mode], out=work)
-
-        # (2) center frequencies from the fresh spectra; without graphs
-        # these are also the final modes, whose energies the next
-        # iteration's convergence test divides by
-        for mode in range(k):
-            np.square(g[mode], out=power)
-            if not graphs:
-                energy[mode] = power.sum(axis=1)
-            try:
-                omegas[mode] = mean_frequency(power, grid)
-            except DegenerateModeError:
-                pass  # collapsed mode keeps its previous center
-
-        graph_steps, graph_converged = (), ()
-        if graphs:
-            # (3) smooth along the previous graphs, all modes in one solve
-            g = geodesic_update(g, edge_w, config.beta)
-            energy = np.sum(g**2, axis=2)
-            # (4) re-learn every mode's graph from its new distances
-            zs = pairwise_distances(
-                g * root_weights, normalize=config.normalize_distances
-            )
-            edge_w, steps, solved = learn_graph_batch(
-                zs,
-                config.beta,
-                config.gamma,
-                edge_w,
-                max_iter=config.graph_max_iter,
-                eps=config.graph_epsilon,
-            )
-            graphs_solved &= bool(solved.all())
-            graph_steps = tuple(int(s) for s in steps)
-            graph_converged = tuple(bool(c) for c in solved)
-
-        # (5) dual ascent
-        if config.tau != 0.0:
-            lam = lam + config.tau * (x_c - g.sum(axis=0))
-
-        # (6) convergence on the summed per-(mode, node) relative change;
-        # the change is formed in g_prev's buffer, the next sweep's output
-        change = np.subtract(g, g_prev, out=g_prev)
-        diff = np.sum(np.square(change, out=change), axis=2)
-        rel_change = float(np.sum(diff / (prev + _EPS)))
-        spare = g_prev
-
-        trace.append(
-            IterationSnapshot(
-                iteration=iteration,
-                rel_change=rel_change,
-                omegas=tuple(float(o) for o in omegas),
-                objective=objective_value(
-                    g, lam, omegas, x_c, grid, weights, config, edge_w, zs
-                ),
-                graph_steps=graph_steps,
-                graph_converged=graph_converged,
-            )
-        )
-        if rel_change < config.epsilon:
-            converged = True
-            break
-
-    modes_time = from_coefficients(g, t, mirror)
-    order = np.argsort(omegas, kind="stable")
-    modes = tuple(
+    # One mode at a time back to the time domain; the residual adds the
+    # modes in loop order.
+    modes = [
         GraphMode(
-            mode_samples=modes_time[mode],
-            center_freq_hz=float(omegas[mode] * fs),
-            edge_weights=edge_w[mode] if graphs else np.empty(0),
+            mode_samples=from_coefficients(g[mode], t, config.mirror_extend),
+            center_freq_hz=float(omegas[mode] * signal.sample_rate_hz),
+            edge_weights=edge_w[mode] if config.beta > 0 else np.empty(0),
         )
-        for mode in order
-    )
-    residual = x - modes_time.sum(axis=0)
+        for mode in range(config.K)
+    ]
+    total = modes[0].mode_samples.copy()
+    for mode in modes[1:]:
+        total += mode.mode_samples
+    order = np.argsort(omegas, kind="stable")
     return DecompositionResult(
-        modes=modes,
-        residual=residual,
-        iterations=iteration,
-        converged=converged and graphs_solved,
+        modes=tuple(modes[mode] for mode in order),
+        residual=np.subtract(x, total, out=total),
+        iterations=len(trace),
+        converged=converged,
         trace=tuple(trace),
     )

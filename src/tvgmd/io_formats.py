@@ -2,15 +2,16 @@
 
 CSV dialect: comma separator, LF line endings, UTF-8, no quoting, one node
 per row, values printed with 17 significant digits so read-after-write is
-lossless for doubles. A row is formatted by one ``%`` and parsed by one
-numpy call that reads each cell as Python ``float()`` does; only a row
-that fails to parse is walked cell by cell to name the bad cell. JSON
-files are UTF-8 with the keys documented below; a file that is not valid
-UTF-8, not JSON or missing a key raises :class:`SignalParseError` naming
-it. All writes go through one temp file in the target directory followed
-by an atomic rename (:func:`write_json` for JSON), so a crashed run never
-leaves a truncated file behind; the files get the mode the umask gives
-any new file (0644 under umask 022).
+lossless for doubles. A row is formatted by one ``%`` and streamed into
+the temp file as it is formatted, so writing a matrix never holds its
+whole text. A row is parsed by one numpy call that reads each cell as
+Python ``float()`` does; only a row that fails to parse is walked cell by
+cell to name the bad cell. JSON files are UTF-8 with the keys documented
+below; a file that is not valid UTF-8, not JSON or missing a key raises
+:class:`SignalParseError` naming it. All writes go through one temp file
+in the target directory followed by an atomic rename (:func:`write_json`
+for JSON), so a crashed run never leaves a truncated file behind; the
+files get the mode the umask gives any new file (0644 under umask 022).
 
 A run bundle is written by ``write_result(out_dir, result, config, *,
 sample_rate_hz, input_sha256, timing_ms)``: one ``mode_k.csv`` per mode,
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
 
@@ -45,7 +47,9 @@ def sha256_of_file(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, pieces: Iterable[str]) -> None:
+    """Write the concatenated ``pieces`` to ``path`` through a temp file in
+    the same directory and an atomic rename."""
     # Opened with mode 0666 so the umask applies as for any new file
     # (tempfile.mkstemp would force 0600); os.replace keeps the mode.
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
@@ -58,7 +62,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,15 +70,20 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def format_matrix_csv(matrix: np.ndarray) -> str:
-    """One line per row, each value as ``%.17g``; one ``%`` per row."""
-    row_format = ",".join(["%.17g"] * matrix.shape[1])
-    return "\n".join(row_format % tuple(row) for row in matrix.tolist()) + "\n"
+def format_matrix_csv(matrix: np.ndarray) -> Iterator[str]:
+    """The CSV text of ``matrix``, one line per row: each value as
+    ``%.17g``, one ``%`` per row. A matrix without rows gives one empty
+    line."""
+    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    if len(matrix) == 0:
+        yield "\n"
+    for row in matrix:
+        yield row_format % tuple(row.tolist())
 
 
 def write_matrix_csv(path: str | os.PathLike, matrix: np.ndarray) -> Path:
     path = Path(path)
-    _atomic_write_text(path, format_matrix_csv(np.asarray(matrix, dtype=float)))
+    _atomic_write(path, format_matrix_csv(np.asarray(matrix, dtype=float)))
     return path
 
 
@@ -155,7 +164,7 @@ def read_signal_csv(
 def write_json(path: str | os.PathLike, payload) -> Path:
     """Write ``payload`` as indented JSON, atomically."""
     path = Path(path)
-    _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=1), "\n"])
     return path
 
 

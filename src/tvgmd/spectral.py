@@ -89,7 +89,7 @@ def from_coefficients(
         )
     if mirror:
         spectrum = np.zeros(c.shape[:-1] + (t + 1,), dtype=complex)
-        spectrum[..., :t] = c * _half_sample_phase(t)
+        np.multiply(c, _half_sample_phase(t), out=spectrum[..., :t])
         return np.fft.irfft(spectrum, n=2 * t)[..., :t]
     return np.fft.irfft(np.ascontiguousarray(c).view(complex), n=t)
 

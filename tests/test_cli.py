@@ -156,6 +156,18 @@ class TestDecomposeCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: K must be >= 1\n"
 
+    @pytest.mark.parametrize("fs", ["inf", "nan", "0"])
+    def test_bad_fs_is_rejected_before_reading(self, tmp_path, small_signal,
+                                               capsys, monkeypatch, fs):
+        reads = []
+        monkeypatch.setattr("tvgmd.cli.read_signal_csv",
+                            lambda *args, **kwargs: reads.append(args))
+        code, run_dir = run_decompose(tmp_path, small_signal, "--fs", fs)
+        assert code == 1
+        assert capsys.readouterr().err == "error: fs must be finite and positive\n"
+        assert reads == []
+        assert not run_dir.exists()
+
     def test_nan_beta_is_validation_error(self, tmp_path, small_signal,
                                           capsys):
         code, run_dir = run_decompose(

@@ -1,13 +1,16 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
+import tvgmd.decomposer as decomposer
 from tvgmd.core import (
     DecompositionConfig,
     DecompositionResult,
     GraphMode,
     IterationSnapshot,
     TimeVaryingGraphSignal,
-    objective_value,
 )
 from tvgmd.decomposer import decompose
 from tvgmd.errors import (
@@ -16,10 +19,87 @@ from tvgmd.errors import (
     DimensionMismatchError,
     NonFiniteInputError,
 )
+from tvgmd.graph_learner import graph_objective
 from tvgmd.graph_ops import pairwise_distances
 from tvgmd.spectral import to_coefficients
+from tvgmd.synth import generate, paper_preset
+from test_coefficient_parity import GRID, SIGNALS, wide_signal
 
 rng = np.random.default_rng(3)
+
+
+def objective_value(g, lam, omegas, x, grid, weights, config, edge_w=None,
+                    zs=None):
+    """Reference augmented-Lagrangian value of a decomposition state.
+
+    ``g`` (K, N, P) holds the mode coefficients, ``lam`` (N, P) the duals,
+    ``omegas`` the K normalized centers and ``x`` (N, P) the input
+    coefficients, all as :func:`~tvgmd.spectral.to_coefficients` lays them
+    out; ``grid`` and ``weights`` (P,) are the frequency of each
+    coefficient and its energy weight. When ``beta > 0``, ``edge_w`` and
+    ``zs`` (K, M) are each mode's edge weights and the pairwise distances
+    of its node signals. The spectral part sums the weighted bandwidth
+    penalty ``2*alpha*(omega - omega_k)^2 g^2``, the reconstruction
+    quadratic and the dual inner product; the graph part adds
+    ``2*beta*w'z + gamma*||w||^2 - 1'log(Qw)`` per mode. The decomposer's
+    trace assembles the same value from reductions its loop already
+    formed; this whole-state formula is what it is checked against.
+    """
+    if (
+        x.shape[-1] != len(grid)
+        or weights.shape != grid.shape
+        or lam.shape != x.shape
+        or g.shape != (len(omegas),) + x.shape
+    ):
+        raise DimensionMismatchError("coefficients, duals and centers disagree")
+
+    sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
+    bandwidth = float(np.sum((g**2).sum(axis=1) * sq * weights))
+    resid = x - g.sum(axis=0)
+    reconstruction_and_dual = float(np.sum((resid + lam) * resid * weights))
+    h1 = 2.0 * config.alpha * bandwidth + reconstruction_and_dual
+
+    h2 = 0.0
+    if config.beta > 0:
+        if (
+            edge_w is None
+            or zs is None
+            or edge_w.shape != zs.shape
+            or edge_w.shape[:-1] != omegas.shape
+        ):
+            raise DimensionMismatchError(
+                "need one edge-weight and one distance vector per mode"
+            )
+        h2 = float(graph_objective(edge_w, zs, config.beta, config.gamma).sum())
+    return h1 + h2
+
+
+def traced_objectives(signal, config, monkeypatch):
+    """Decompose, and at every trace snapshot evaluate the reference
+    formula on the loop's own state; returns (trace values, references).
+
+    The loop keeps its state in local variables, so the snapshot class is
+    wrapped to read them from the frame that builds each snapshot
+    (``decomposer._iterate``, whose comment there names the locals read).
+    """
+    references = []
+    snapshot = decomposer.IterationSnapshot
+
+    def record(**fields):
+        state = sys._getframe(1).f_locals
+        missing = {"g", "lam", "omegas", "x_c", "grid", "weights", "edge_w",
+                   "zs"} - state.keys()
+        assert not missing, f"loop state renamed; harness lacks {missing}"
+        references.append(objective_value(
+            state["g"], state["lam"], state["omegas"], state["x_c"],
+            state["grid"], state["weights"], config, state["edge_w"],
+            state["zs"],
+        ))
+        return snapshot(**fields)
+
+    monkeypatch.setattr(decomposer, "IterationSnapshot", record)
+    result = decompose(signal, config)
+    return np.array([s.objective for s in result.trace]), np.array(references)
 
 
 def make_signal(n=3, t=16, fill=None):
@@ -109,6 +189,12 @@ class TestDomainTypes:
         signal = make_signal()
         with pytest.raises(ValueError):
             signal.samples[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_sample_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(BadParameterError,
+                           match="sample_rate_hz must be finite and positive"):
+            TimeVaryingGraphSignal(samples=np.zeros((2, 4)), sample_rate_hz=rate)
 
     def test_negative_edge_weights_rejected(self):
         with pytest.raises(BadParameterError):
@@ -206,6 +292,38 @@ class TestObjectiveValue:
             )
 
         assert value((0, 1)) == pytest.approx(value((1, 0)), rel=1e-12)
+
+    @pytest.mark.parametrize("name,mirror,beta,tau,init", GRID)
+    def test_trace_matches_reference_on_parity_grid(self, monkeypatch, name,
+                                                    mirror, beta, tau, init):
+        config = DecompositionConfig(
+            K=2, alpha=200.0, beta=beta, tau=tau, omega_init=init,
+            mirror_extend=mirror, max_iter=20 if beta > 0 and tau > 0 else 500,
+        )
+        got, expected = traced_objectives(SIGNALS[name](), config, monkeypatch)
+        assert len(got) == len(expected) > 0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("snr_db", [None, 6.0])
+    def test_trace_matches_reference_on_presets(self, monkeypatch, snr_db):
+        signal = generate(
+            dataclasses.replace(paper_preset(), snr_db=snr_db, seed=0)
+        )[0]
+        config = DecompositionConfig(K=4, alpha=200.0, beta=0.1, gamma=1.0)
+        got, expected = traced_objectives(signal, config, monkeypatch)
+        assert len(got) == len(expected) > 0
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_trace_matches_reference_over_row_blocks(self, monkeypatch,
+                                                     mirror):
+        # a 64-node input, so the sweep runs over several row blocks
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=0.1,
+                                     omega_init="peaks", mirror_extend=mirror,
+                                     max_iter=30)
+        got, expected = traced_objectives(wide_signal(), config, monkeypatch)
+        assert len(got) == len(expected) == 30
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_dimension_mismatch_rejected(self):
         signal = make_signal(n=3, t=16)

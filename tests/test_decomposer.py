@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,3 +302,45 @@ class TestOptions:
         time_rel = num
         spec_rel = full.trace[-1].rel_change
         assert time_rel == pytest.approx(spec_rel, rel=1e-6)
+
+
+def traced_peak_in_mode_buffers(n, t, k, **options):
+    """tracemalloc peak of ``decompose`` on an n x t noise signal, in units
+    of one (K, N, P) coefficient buffer."""
+    signal = TimeVaryingGraphSignal(
+        samples=np.random.default_rng(0).standard_normal((n, t)),
+        sample_rate_hz=FS,
+    )
+    config = DecompositionConfig(K=k, alpha=200.0, max_iter=2, **options)
+    p = t if config.mirror_extend else 2 * (t // 2 + 1)
+    tracemalloc.start()
+    try:
+        decompose(signal, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (k * n * p * 8)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_mvmd_peak_stays_within_four_mode_buffers(self, mirror):
+        # With beta = 0 an iteration keeps two (K, N, P) mode buffers and
+        # four (N, P) arrays, and the modes go back to the time domain one
+        # at a time after the rest is released: about 3.4 buffers at the
+        # peak, with the result. A (K, N, P) temporary per iteration, or
+        # one inverse transform of all modes at once, goes past 4.
+        peak = traced_peak_in_mode_buffers(32, 8192, 4, beta=0.0,
+                                           mirror_extend=mirror)
+        assert peak <= 4.0
+
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_graph_peak_frees_squares_before_distances(self, mirror):
+        # With graphs an iteration also holds the smoothed modes, and the
+        # distances scale them in one more (K, N, P) temporary: about 5.3
+        # buffers at the peak. Keeping the energies' squares alive into
+        # that step adds a whole buffer and reads about 6.3.
+        peak = traced_peak_in_mode_buffers(32, 4096, 4, beta=0.1,
+                                           graph_max_iter=5,
+                                           mirror_extend=mirror)
+        assert peak <= 5.75

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,15 +107,29 @@ class TestSignalCsv:
 
     def test_row_format_matches_per_value_reference(self):
         # the per-value f-string is the reference; the production code
-        # formats each row with a single "%" operation
+        # formats each row with a single "%" operation and yields the
+        # text row by row
         values = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-300, 300, (3, 7))
         values[0, :5] = [-0.0, 5e-324, 1e308, -1e308, 0.0]
         values[1, :4] = [1.0, -42.0, 2.0**53, 123456789.0]
-        for matrix in (values, values[:, :1], np.empty((2, 0))):
+        for matrix in (values, values[:, :1], np.empty((2, 0)),
+                       np.empty((0, 3))):
             expected = "\n".join(
                 ",".join(f"{value:.17g}" for value in row) for row in matrix
             ) + "\n"
-            assert format_matrix_csv(matrix) == expected
+            assert "".join(format_matrix_csv(matrix)) == expected
+
+    def test_writing_does_not_hold_the_whole_text(self, tmp_path):
+        # the text of a 32 x 8192 matrix is 6 MB; rows are streamed
+        matrix = rng.standard_normal((32, 8192))
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "m.csv", matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), matrix)
 
 
 def _per_cell_reference(path, header=False):
@@ -358,13 +373,15 @@ class TestWriteResult:
 
         original = io_formats.format_matrix_csv
 
-        def explode(matrix):
+        def explode(matrix):  # fails after the first row was streamed
+            yield "1,2,3\n"
             raise RuntimeError("disk on fire")
 
         monkeypatch.setattr(io_formats, "format_matrix_csv", explode)
         with pytest.raises(RuntimeError):
             write_result(tmp_path, result, **manifest_for(result))
         monkeypatch.setattr(io_formats, "format_matrix_csv", original)
+        assert not (tmp_path / "mode_1.csv").exists()
         assert not (tmp_path / "summary.json").exists()
         assert [p for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
