@@ -151,7 +151,7 @@ def cmd_inspect(args) -> int:
     # The summary alone says which modes and graphs the bundle holds.
     summary = read_summary_json(run_dir)
     try:
-        fs = float(summary.get("sample_rate_hz", 0.0))
+        fs = float(summary["sample_rate_hz"])
         centers = [float(hz) for hz in summary["center_freqs_hz"]]
         mirror = bool(summary["config"]["mirror_extend"])
         has_graphs = not summary["mvmd_baseline"]
@@ -169,24 +169,19 @@ def cmd_inspect(args) -> int:
         raise TvgmdError(f"summary.json: {exc}") from None
     if not centers:
         raise TvgmdError("summary.json lists no modes")
-    # Fail before printing anything if a listed file is gone.
-    numbers = range(1, len(centers) + 1)
-    listed = [f"mode_{k}.csv" for k in numbers]
-    if has_graphs:
-        listed += [f"adjacency_{k}.json" for k in numbers]
-    for name in listed:
-        if not (run_dir / name).is_file():
-            raise TvgmdError(f"{run_dir} lacks {name}, listed in summary.json")
-
-    print(f"run: {run_dir}  converged={converged} iterations={iterations}")
-    if graph_solves:
-        print(
-            f"graph solves: {len(graph_solves)}  newton steps: {newton_steps}"
-            f"  missed tolerance: {graph_solves.count(False)}"
-        )
-    print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
+    # First pass: read and analyse every listed file, so a missing or
+    # corrupt one fails the command before it prints or writes anything.
+    analyses = []
     for k, center_hz in enumerate(centers, start=1):
-        mode = read_matrix_csv(run_dir / f"mode_{k}.csv")
+        try:
+            mode = read_matrix_csv(run_dir / f"mode_{k}.csv")
+            weights = (
+                read_adjacency_json(run_dir / f"adjacency_{k}.json")
+                if has_graphs else None
+            )
+        except FileNotFoundError as exc:
+            missing = f"{run_dir} lacks {Path(exc.filename).name}"
+            raise TvgmdError(f"{missing}, listed in summary.json") from None
         coefficients, grid, _ = to_coefficients(mode, mirror)
         node_power, grid = bin_power(coefficients, grid, mirror)
         power = node_power.sum(axis=0)
@@ -201,8 +196,18 @@ def cmd_inspect(args) -> int:
             lo = max(0, center_bin - halfwidth)
             band = power[lo : center_bin + halfwidth + 1]
             concentration = band.sum() / power.sum()
+        analyses.append((k, center_hz, concentration, node_power, grid, weights))
+
+    # Second pass: print, and write the spectra.
+    print(f"run: {run_dir}  converged={converged} iterations={iterations}")
+    if graph_solves:
+        print(
+            f"graph solves: {len(graph_solves)}  newton steps: {newton_steps}"
+            f"  missed tolerance: {graph_solves.count(False)}"
+        )
+    print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
+    for k, center_hz, concentration, node_power, grid, weights in analyses:
         if has_graphs:
-            weights = read_adjacency_json(run_dir / f"adjacency_{k}.json")
             rows, cols = edge_pairs(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]
             edges = ", ".join(
@@ -220,10 +225,8 @@ def cmd_inspect(args) -> int:
                     f"{weights[e]:.17g}"
                 )
         if args.plot_data:
-            hz = grid * (fs if fs > 0 else 1.0)
-            # Column 0: frequency axis in Hz when fs was recoverable,
-            # otherwise normalized; columns 1..N: per-node magnitudes.
-            table = np.column_stack([hz, np.sqrt(node_power).T])
+            # Column 0: frequency in Hz; columns 1..N: per-node magnitudes.
+            table = np.column_stack([grid * fs, np.sqrt(node_power).T])
             write_matrix_csv(run_dir / f"spectrum_{k}.csv", table)
     if args.plot_data:
         print(f"wrote {len(centers)} spectrum CSVs to {run_dir}")

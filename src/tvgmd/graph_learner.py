@@ -35,7 +35,7 @@ import contextlib
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
-from .graph_ops import edge_degrees, edge_pairs, edge_sums, nodes_from_edge_count
+from .graph_ops import edge_degrees, edge_sums, node_matrices, nodes_from_edge_count
 
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
 _ROUNDING = 1e-13  # relative objective change below which f cannot judge a step
@@ -132,8 +132,6 @@ def learn_graph_batch(
     if beta < 0:
         raise DegenerateInputError("beta must be nonnegative")
     n = nodes_from_edge_count(m)
-    rows, cols = edge_pairs(n)
-    diagonal = np.arange(n)
     out_w = np.empty_like(zs)
     iters = np.empty(n_prob, dtype=int)
     done = np.empty(n_prob, dtype=bool)
@@ -146,11 +144,14 @@ def learn_graph_batch(
     isolated = edge_degrees(w, n).min(axis=1) <= 0.0
     w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
     f, deg, g, res = _evaluate(w, lin, gamma, n)
+    # A row whose line search cannot move stops at the next sweep's top,
+    # its step not counted; its trial is its w, so ``met`` stays False.
+    stuck = np.zeros(n_prob, dtype=bool)
     for step in range(max_iter + 1):
         met = res <= eps * np.maximum(1.0, w.max(axis=1))
-        stop = met | (step == max_iter)
+        stop = met | stuck | (step == max_iter)
         if stop.any():
-            out_w[live[stop]], iters[live[stop]] = w[stop], step
+            out_w[live[stop]], iters[live[stop]] = w[stop], (step - stuck)[stop]
             done[live[stop]] = met[stop]
             if stop.all():
                 break
@@ -167,11 +168,7 @@ def learn_graph_batch(
         p = -g / (2.0 * gamma + edge_sums(deg**-2.0, n))
         # Free edges: Newton step through the N x N Woodbury systems, each
         # with a 1 per free edge off the diagonal.
-        s = np.zeros((len(w), n, n))
-        s[:, rows, cols] = s[:, cols, rows] = free
-        s[:, diagonal, diagonal] = (
-            2.0 * gamma * deg * deg + edge_degrees(free, n)
-        )
+        s = node_matrices(free, 2.0 * gamma * deg * deg + edge_degrees(free, n))
         rhs = edge_degrees(g_free, n)[:, :, None]
         try:
             y = np.linalg.solve(s, rhs)[:, :, 0]
@@ -214,15 +211,5 @@ def learn_graph_batch(
             if not searching.any():
                 break
             a[searching] *= 0.5
-
-        if stuck.any():
-            out_w[live[stuck]], iters[live[stuck]] = w[stuck], step
-            done[live[stuck]] = False
-            moved = ~stuck
-            live, lin, trial, f_t, deg_t, g_t, res_t = (
-                v[moved] for v in (live, lin, trial, f_t, deg_t, g_t, res_t)
-            )
-            if not live.size:
-                break
         w, f, deg, g, res = trial, f_t, deg_t, g_t, res_t
     return out_w, iters, done

@@ -7,8 +7,8 @@ pair ``(m, n)`` with ``m < n``, pairs enumerated as ``(0,1), (0,2), ...,
 every function in the package. :func:`edge_pairs` gives the node pair of
 each edge as ``rows``/``cols`` arrays. The degree operator ``Q``
 (:func:`edge_degrees`) and its adjoint (:func:`edge_sums`) work on edge
-vectors directly; only :func:`geodesic_update` forms the N x N matrices
-``I + beta L`` it solves with.
+vectors directly; :func:`node_matrices` is the one place where edge vectors
+become N x N matrices, such as ``I + beta L`` in :func:`geodesic_update`.
 """
 
 from __future__ import annotations
@@ -93,6 +93,18 @@ def edge_sums(d: np.ndarray, n_nodes: int) -> np.ndarray:
     return (flat[rows] + flat[cols]).reshape(b, n_edges(n_nodes))
 
 
+def node_matrices(edge_values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Symmetric ``(B, N, N)`` matrices with the ``(B, M)`` edge values at
+    both entries of each edge and the ``(B, N)`` diagonals; no validation."""
+    b, n = diagonal.shape
+    rows, cols = edge_pairs(n)
+    matrices = np.zeros((b, n, n))
+    matrices[:, rows, cols] = matrices[:, cols, rows] = edge_values
+    nodes = np.arange(n)
+    matrices[:, nodes, nodes] = diagonal
+    return matrices
+
+
 def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Squared Euclidean distances between all row pairs of N x T matrices.
 
@@ -139,8 +151,8 @@ def geodesic_update(
     ``f`` is a ``(K, N, P)`` stack of node-by-coefficient matrices and
     ``edge_w`` the ``(K, M)`` edge weights of the K graphs; ``L_k`` is the
     combinatorial Laplacian of graph ``k``. Returns the ``(K, N, P)``
-    solutions; ``beta = 0`` returns a copy of ``f``. Non-finite input
-    raises :class:`NonFiniteInputError`.
+    solutions as a new array. Non-finite input raises
+    :class:`NonFiniteInputError`.
 
     ``I + beta L`` is symmetric positive definite for ``beta >= 0`` and
     nonnegative weights: its eigenvalues are at least 1, so no check is
@@ -168,14 +180,6 @@ def geodesic_update(
         raise NegativeWeightError("beta must be nonnegative")
     if np.any(w < 0):
         raise NegativeWeightError("edge weights must be nonnegative")
-    if beta == 0.0:
-        return F.copy()
-    n = F.shape[1]
-    rows, cols = edge_pairs(n)
-    A = np.zeros((w.shape[0], n, n))
-    A[:, rows, cols] = -beta * w
-    A += A.swapaxes(1, 2)
-    diagonal = np.arange(n)
-    A[:, diagonal, diagonal] = 1.0 + beta * edge_degrees(w, n)
+    A = node_matrices(-beta * w, 1.0 + beta * edge_degrees(w, F.shape[1]))
     return np.linalg.inv(A) @ F
 

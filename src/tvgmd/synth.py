@@ -82,10 +82,14 @@ def generate(spec: SynthSpec) -> tuple[TimeVaryingGraphSignal, GroundTruth]:
     n_nodes = len(spec.node_terms)
     if n_nodes < 2:
         raise BadParameterError("a graph signal needs at least 2 nodes")
-    if not spec.sample_rate_hz > 0:
-        raise BadParameterError("sample_rate_hz must be positive")
-    if not spec.duration_s > 0:
-        raise BadParameterError("duration_s must be positive")
+    if not 0 < spec.sample_rate_hz < np.inf:
+        raise BadParameterError("sample_rate_hz must be finite and positive")
+    if not 0 < spec.duration_s < np.inf:
+        raise BadParameterError("duration_s must be finite and positive")
+    if spec.snr_db is not None and not np.isfinite(spec.snr_db):
+        raise BadParameterError("snr_db must be finite")
+    if not (isinstance(spec.seed, (int, np.integer)) and spec.seed >= 0):
+        raise BadParameterError("seed must be a nonnegative integer")
     t_float = spec.duration_s * spec.sample_rate_hz
     t_len = round(t_float)
     if abs(t_float - t_len) > 1e-9 or t_len < 4:

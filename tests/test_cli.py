@@ -122,6 +122,36 @@ class TestSynthCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, flags, message",
+        [
+            ({}, ("--snr", "nan"), "snr_db"),
+            ({}, ("--snr", "inf"), "snr_db"),
+            ({}, ("--snr=-inf",), "snr_db"),
+            ({"sample_rate_hz": float("inf")}, (), "sample_rate_hz"),
+            ({"duration_s": float("inf")}, (), "duration_s"),
+            ({}, ("--seed", "-1", "--snr", "6"), "seed"),
+        ],
+        ids=["snr_nan", "snr_inf", "snr_minus_inf", "rate_inf", "duration_inf",
+             "seed_negative"],
+    )
+    def test_bad_spec_is_an_error(self, tmp_path, capsys, overrides, flags,
+                                  message):
+        spec = {
+            "node_terms": [[[4.0, 1.0]], [[8.0, 0.5]]],
+            "sample_rate_hz": 64.0,
+            "duration_s": 2.0,
+            **overrides,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sig.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out),
+                     *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+        assert not (tmp_path / "ground_truth.json").exists()
+
 
 class TestDecomposeCommand:
     def test_small_run_writes_bundle(self, tmp_path, small_signal):
@@ -273,9 +303,16 @@ class TestInspectCommand:
                 ),
                 "summary.json lists no modes",
             ),
+            (
+                lambda text: json.dumps(
+                    {k: v for k, v in json.loads(text).items()
+                     if k != "sample_rate_hz"}
+                ),
+                "summary.json: missing key 'sample_rate_hz'",
+            ),
         ],
         ids=["truncated", "not_an_object", "missing_key", "non_numeric_center",
-             "no_modes"],
+             "no_modes", "no_sample_rate"],
     )
     def test_corrupt_summary_is_an_error(self, tmp_path, small_signal, capsys,
                                          corrupt, message):
@@ -287,28 +324,36 @@ class TestInspectCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
-        "text, message",
+        "name, text, message",
         [
-            ('{"n_nodes": 3, "weig', "adjacency_1.json: "),
-            ("[]", "adjacency_1.json: not a JSON object"),
+            ("adjacency_2.json", '{"n_nodes": 3, "weig', "adjacency_2.json: "),
+            ("adjacency_2.json", "[]", "adjacency_2.json: not a JSON object"),
             (
+                "adjacency_2.json",
                 '{"n_nodes": 3, "edge_order": "upper-triangular-row-major"}',
-                "adjacency_1.json: missing key 'weights'",
+                "adjacency_2.json: missing key 'weights'",
             ),
             (
+                "adjacency_2.json",
                 '{"edge_order": "upper-triangular-row-major", "weights": [1, 2, 3]}',
-                "adjacency_1.json: missing key 'n_nodes'",
+                "adjacency_2.json: missing key 'n_nodes'",
             ),
+            ("mode_2.csv", "abc\n", "mode_2.csv, line 1: non-numeric cell 'abc'"),
         ],
-        ids=["malformed", "not_an_object", "no_weights", "no_n_nodes"],
+        ids=["malformed", "not_an_object", "no_weights", "no_n_nodes",
+             "mode_cell"],
     )
     def test_corrupt_adjacency_is_an_error(self, tmp_path, small_signal,
-                                           capsys, text, message):
+                                           capsys, name, text, message):
+        # a corrupt file of the second mode: nothing of the first is printed
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
-        (run_dir / "adjacency_1.json").write_text(text)
+        (run_dir / name).write_text(text)
         capsys.readouterr()
-        assert main(["inspect", "--run", str(run_dir)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not list(run_dir.glob("spectrum_*.csv"))
 
     @pytest.mark.parametrize("name", ["mode_2.csv", "adjacency_2.json"])
     def test_missing_listed_file_is_an_error(self, tmp_path, small_signal,

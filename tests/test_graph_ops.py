@@ -14,6 +14,7 @@ from tvgmd.graph_ops import (
     edge_sums,
     geodesic_update,
     n_edges,
+    node_matrices,
     nodes_from_edge_count,
     pairwise_distances,
 )
@@ -123,6 +124,27 @@ class TestApplyQ:
         for row in range(5):
             assert np.array_equal(degrees[row], degrees_of(w[row]))
             assert np.array_equal(sums[row], d[row, rows] + d[row, cols])
+
+
+class TestNodeMatrices:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        b=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=2, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_dense_reference(self, b, n, seed):
+        r = np.random.default_rng(seed)
+        values = r.standard_normal((b, n_edges(n)))
+        diagonal = r.standard_normal((b, n))
+        matrices = node_matrices(values, diagonal)
+        assert matrices.shape == (b, n, n)
+        for row in range(b):
+            expected = np.diag(diagonal[row])
+            for e, (m, k) in enumerate(node_pairs(n)):
+                expected[m, k] = expected[k, m] = values[row, e]
+            assert np.array_equal(matrices[row], expected)
+        assert np.array_equal(matrices, matrices.swapaxes(1, 2))
 
 
 class TestPairwiseDistances:
