@@ -71,10 +71,9 @@ def cmd_synth(args) -> int:
         spec = _spec_from_json(args.spec)
     else:
         spec = paper_preset()
-    if args.snr is not None:
-        spec = dataclasses.replace(spec, snr_db=args.snr)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    overrides = {"snr_db": args.snr, "seed": args.seed}
+    spec = dataclasses.replace(
+        spec, **{name: v for name, v in overrides.items() if v is not None})
     signal, truth = generate(spec)
     out = Path(args.out)
     write_signal_csv(out, signal)
@@ -90,10 +89,8 @@ def cmd_synth(args) -> int:
                 "frequency_hz": freq,
                 "active_nodes": list(truth.partitions[freq][0]),
                 "silent_nodes": list(truth.partitions[freq][1]),
-                "amplitudes": [
-                    next((a for f, a in terms if f == freq), 0.0)
-                    for terms in spec.node_terms
-                ],
+                # cos(0) = 1: column 0 holds each node's summed amplitude
+                "amplitudes": truth.components[freq][:, 0].tolist(),
             }
             for freq in sorted(truth.components)
         ],
@@ -109,20 +106,13 @@ def cmd_synth(args) -> int:
 def cmd_decompose(args) -> int:
     if not (math.isfinite(args.fs) and args.fs > 0):
         raise TvgmdError("fs must be finite and positive")
-    config = DecompositionConfig(
-        K=args.k,
-        alpha=args.alpha,
-        beta=0.0 if args.mvmd else args.beta,
-        gamma=args.gamma,
-        tau=args.tau,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-        omega_init=args.omega_init,
-        mirror_extend=not args.no_mirror,
-        normalize_distances=args.normalize_distances,
-        graph_max_iter=args.graph_max_iter,
-        graph_epsilon=args.graph_epsilon,
-    )
+    if args.mvmd:
+        args.beta = 0.0
+    # Each flag's dest is the name of the config field it sets.
+    config = DecompositionConfig(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(DecompositionConfig)
+    })
     signal = read_signal_csv(args.input, args.fs, header=args.header)
     started = time.perf_counter()
     result = decompose(signal, config)
@@ -252,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--spec", help="path to a SynthSpec JSON file")
     p_synth.add_argument("--snr", type=float, default=None,
-                         help="per-node SNR in dB (default: no noise)")
+                         help="per-node SNR in dB; pass -1e1 as --snr=-1e1 "
+                              "(default: no noise)")
     p_synth.add_argument("--seed", type=int, default=None,
                          help="noise seed (default: the spec's, 0 for a preset)")
     p_synth.add_argument("--out", required=True, help="output CSV path")
@@ -266,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling rate of the input in Hz")
     p_dec.add_argument("--header", action="store_true", default=False,
                        help="input CSV has a header line and label column")
-    p_dec.add_argument("--k", type=int, required=True, help="number of modes")
+    p_dec.add_argument("--k", dest="K", type=int, required=True,
+                       help="number of modes")
     p_dec.add_argument("--alpha", type=float, default=defaults.alpha,
                        help="bandwidth penalty (default: %(default)s)")
     p_dec.add_argument("--beta", type=float, default=defaults.beta,
@@ -285,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=defaults.omega_init,
                        help="center-frequency initialization "
                             "(default: %(default)s)")
-    p_dec.add_argument("--no-mirror", action="store_true", default=False,
-                       help="disable boundary mirroring")
+    p_dec.add_argument("--no-mirror", dest="mirror_extend",
+                       action="store_false", help="disable boundary mirroring")
     p_dec.add_argument("--normalize-distances", action="store_true",
                        default=False,
                        help="divide pairwise distances by their mean")

@@ -36,8 +36,14 @@ class SynthSpec:
     """Recipe for one synthetic signal.
 
     ``node_terms[n]`` lists (frequency_hz, amplitude) cosine terms for node
-    ``n``; an empty list makes that node silent. ``snr_db=None`` disables
-    noise entirely. ``duration_s * sample_rate_hz`` must be an integer.
+    ``n``; an empty list makes that node silent, and a node's terms at one
+    frequency add. ``snr_db=None`` disables noise entirely.
+
+    A spec checks itself when built (``dataclasses.replace`` included): it
+    needs 2+ nodes, a finite positive rate and duration whose product is an
+    integer >= 4, a finite SNR, a nonnegative integer seed and frequencies
+    in [0, Nyquist). Otherwise it raises :class:`BadParameterError`, or
+    :class:`NyquistViolationError` for a tone at or above Nyquist.
     """
 
     node_terms: tuple[tuple[tuple[float, float], ...], ...]
@@ -45,6 +51,33 @@ class SynthSpec:
     duration_s: float
     snr_db: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if len(self.node_terms) < 2:
+            raise BadParameterError("a graph signal needs at least 2 nodes")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise BadParameterError("sample_rate_hz must be finite and positive")
+        if not 0 < self.duration_s < np.inf:
+            raise BadParameterError("duration_s must be finite and positive")
+        if self.snr_db is not None and not np.isfinite(self.snr_db):
+            raise BadParameterError("snr_db must be finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise BadParameterError("seed must be a nonnegative integer")
+        t_float = self.duration_s * self.sample_rate_hz
+        if not (np.isfinite(t_float) and abs(t_float - round(t_float)) <= 1e-9
+                and round(t_float) >= 4):
+            raise BadParameterError(
+                "duration_s * sample_rate_hz must be an integer >= 4"
+            )
+        nyquist = self.sample_rate_hz / 2.0
+        for terms in self.node_terms:
+            for freq, _amp in terms:
+                if freq < 0:
+                    raise BadParameterError("frequencies must be nonnegative")
+                if freq >= nyquist:
+                    raise NyquistViolationError(
+                        f"{freq} Hz is not below the Nyquist rate {nyquist} Hz"
+                    )
 
 
 @dataclass(frozen=True)
@@ -74,69 +107,42 @@ def paper_preset() -> SynthSpec:
 def generate(spec: SynthSpec) -> tuple[TimeVaryingGraphSignal, GroundTruth]:
     """Materialize a spec into a signal plus its ground truth.
 
-    Noise, when enabled, is zero-mean Gaussian, independent across nodes
-    and samples, with per-node variance set to (clean power) / 10^(snr/10).
-    A silent node falls back to the average clean power across nodes so
-    its noise level is still defined. Fixing ``seed`` fixes the output.
+    Each node's terms are summed per frequency into one amplitude, which
+    scales that frequency's cosine. Noise, when enabled, is zero-mean
+    Gaussian, independent across nodes and samples, with per-node variance
+    set to (clean power) / 10^(snr/10). A silent node falls back to the
+    average clean power across nodes so its noise level is still defined.
+    Fixing ``seed`` fixes the output.
     """
     n_nodes = len(spec.node_terms)
-    if n_nodes < 2:
-        raise BadParameterError("a graph signal needs at least 2 nodes")
-    if not 0 < spec.sample_rate_hz < np.inf:
-        raise BadParameterError("sample_rate_hz must be finite and positive")
-    if not 0 < spec.duration_s < np.inf:
-        raise BadParameterError("duration_s must be finite and positive")
-    if spec.snr_db is not None and not np.isfinite(spec.snr_db):
-        raise BadParameterError("snr_db must be finite")
-    if not (isinstance(spec.seed, (int, np.integer)) and spec.seed >= 0):
-        raise BadParameterError("seed must be a nonnegative integer")
-    t_float = spec.duration_s * spec.sample_rate_hz
-    t_len = round(t_float)
-    if abs(t_float - t_len) > 1e-9 or t_len < 4:
-        raise BadParameterError(
-            "duration_s * sample_rate_hz must be an integer >= 4"
-        )
-    nyquist = spec.sample_rate_hz / 2.0
-    for terms in spec.node_terms:
-        for freq, _amp in terms:
-            if freq < 0:
-                raise BadParameterError("frequencies must be nonnegative")
-            if freq >= nyquist:
-                raise NyquistViolationError(
-                    f"{freq} Hz is not below the Nyquist rate {nyquist} Hz"
-                )
-
+    t_len = round(spec.duration_s * spec.sample_rate_hz)
     t = np.arange(t_len) / spec.sample_rate_hz
     frequencies = sorted({f for terms in spec.node_terms for f, _ in terms})
-    components: dict[float, np.ndarray] = {}
-    partitions: dict[float, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for freq in frequencies:
-        comp = np.zeros((n_nodes, t_len))
-        active = []
-        for node, terms in enumerate(spec.node_terms):
-            for f, amp in terms:
-                if f == freq:
-                    comp[node] += amp * np.cos(2.0 * np.pi * f * t)
-            if any(f == freq for f, _ in terms):
-                active.append(node)
-        silent = tuple(i for i in range(n_nodes) if i not in active)
-        components[freq] = comp
-        partitions[freq] = (tuple(active), silent)
+    amplitudes = np.zeros((n_nodes, len(frequencies)))
+    for node, terms in enumerate(spec.node_terms):
+        for freq, amp in terms:
+            amplitudes[node, frequencies.index(freq)] += amp
 
     clean = np.zeros((n_nodes, t_len))
-    for comp in components.values():
-        clean += comp
+    components: dict[float, np.ndarray] = {}
+    partitions: dict[float, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for j, freq in enumerate(frequencies):
+        # 0.0 + maps a zero amplitude's -0.0 to a silent node's +0.0
+        cosine = np.cos(2.0 * np.pi * freq * t)
+        components[freq] = 0.0 + amplitudes[:, j, None] * cosine
+        clean += components[freq]
+        active = [n for n, ts in enumerate(spec.node_terms) if freq in dict(ts)]
+        silent = [n for n in range(n_nodes) if n not in active]
+        partitions[freq] = (tuple(active), tuple(silent))
 
-    samples = clean.copy()
+    samples = clean
     if spec.snr_db is not None:
         rng = np.random.default_rng(spec.seed)
         clean_power = np.mean(clean**2, axis=1)
-        fallback = float(clean_power.mean())
-        snr_linear = 10.0 ** (spec.snr_db / 10.0)
-        for node in range(n_nodes):
-            power = clean_power[node] if clean_power[node] > 0 else fallback
-            sigma = np.sqrt(power / snr_linear) if power > 0 else 0.0
-            samples[node] += rng.normal(0.0, sigma, t_len)
+        power = np.where(clean_power > 0, clean_power, clean_power.mean())
+        sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
+        # One (N, T) draw takes the stream node by node, as N draws would.
+        samples = clean + rng.normal(0.0, sigma[:, None], clean.shape)
 
     signal = TimeVaryingGraphSignal(
         samples=samples, sample_rate_hz=spec.sample_rate_hz

@@ -131,9 +131,11 @@ class TestSynthCommand:
             ({"sample_rate_hz": float("inf")}, (), "sample_rate_hz"),
             ({"duration_s": float("inf")}, (), "duration_s"),
             ({}, ("--seed", "-1", "--snr", "6"), "seed"),
+            ({"sample_rate_hz": 1e200, "duration_s": 1e200}, (),
+             "duration_s * sample_rate_hz must be an integer >= 4\n"),
         ],
         ids=["snr_nan", "snr_inf", "snr_minus_inf", "rate_inf", "duration_inf",
-             "seed_negative"],
+             "seed_negative", "product_overflow"],
     )
     def test_bad_spec_is_an_error(self, tmp_path, capsys, overrides, flags,
                                   message):
@@ -151,6 +153,36 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
         assert not (tmp_path / "ground_truth.json").exists()
+
+    def test_negative_exponent_snr_with_equals(self, tmp_path):
+        # argparse takes "-1e1" after a space for an option, so the help
+        # text gives the --snr=-1e1 form
+        outputs = []
+        for name, flags in [("eq", ("--snr=-1e1",)), ("plain", ("--snr", "-10"))]:
+            (tmp_path / name).mkdir()
+            code, out = run_synth(tmp_path / name, *flags)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_same_frequency_terms_report_their_sum(self, tmp_path):
+        spec = {
+            "node_terms": [[[4.0, 1.0], [4.0, 0.5]], [[8.0, 0.5]]],
+            "sample_rate_hz": 64.0,
+            "duration_s": 2.0,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sig.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+        truth = json.loads((tmp_path / "ground_truth.json").read_text())
+        component = truth["components"][0]
+        assert component["frequency_hz"] == 4.0
+        assert component["amplitudes"] == [1.5, 0.0]
+        # the least-squares amplitude of node 0's signal at 4 Hz
+        cosine = np.cos(2.0 * np.pi * 4.0 * np.arange(128) / 64.0)
+        fitted = read_matrix_csv(out)[0] @ cosine / (cosine @ cosine)
+        assert fitted == pytest.approx(1.5, rel=1e-12)
 
 
 class TestDecomposeCommand:

@@ -2,9 +2,76 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgmd.errors import BadParameterError, NyquistViolationError
 from tvgmd.synth import SynthSpec, generate, paper_preset
+
+TWO_NODES = (((4.0, 1.0),), ((8.0, 0.5),))
+
+
+def reference_generate(spec):
+    """Node-by-node construction: each term's cosine added on its own, the
+    noise drawn one node at a time."""
+    n_nodes = len(spec.node_terms)
+    t_len = round(spec.duration_s * spec.sample_rate_hz)
+    t = np.arange(t_len) / spec.sample_rate_hz
+    frequencies = sorted({f for terms in spec.node_terms for f, _ in terms})
+    components, partitions = {}, {}
+    clean = np.zeros((n_nodes, t_len))
+    for freq in frequencies:
+        comp = np.zeros((n_nodes, t_len))
+        active = []
+        for node, terms in enumerate(spec.node_terms):
+            for f, amp in terms:
+                if f == freq:
+                    comp[node] += amp * np.cos(2.0 * np.pi * f * t)
+                    active.append(node)
+        components[freq] = comp
+        partitions[freq] = (
+            tuple(active), tuple(n for n in range(n_nodes) if n not in active)
+        )
+        clean += comp
+    samples = clean.copy()
+    if spec.snr_db is not None:
+        rng = np.random.default_rng(spec.seed)
+        clean_power = np.mean(clean**2, axis=1)
+        fallback = float(clean_power.mean())
+        snr_linear = 10.0 ** (spec.snr_db / 10.0)
+        for node in range(n_nodes):
+            power = clean_power[node] if clean_power[node] > 0 else fallback
+            sigma = np.sqrt(power / snr_linear) if power > 0 else 0.0
+            samples[node] += rng.normal(0.0, sigma, t_len)
+    return samples, clean, components, partitions
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64),
+    )
+
+
+@st.composite
+def specs(draw):
+    """Specs over a 64 Hz, 2 s grid with at most one term per (node,
+    frequency): silent nodes, negative and signed-zero amplitudes, and
+    SNR None or finite."""
+    amplitude = st.one_of(
+        st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from([0.0, -0.0])
+    )
+    node = st.dictionaries(
+        st.sampled_from([0.0, 1.0, 4.0, 8.5, 31.0]), amplitude, max_size=4
+    )
+    nodes = draw(st.lists(node, min_size=2, max_size=5))
+    return SynthSpec(
+        node_terms=tuple(tuple(terms.items()) for terms in nodes),
+        sample_rate_hz=64.0,
+        duration_s=2.0,
+        snr_db=draw(st.one_of(st.none(), st.floats(-20.0, 40.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
 
 
 class TestPreset:
@@ -98,22 +165,44 @@ class TestGenerate:
         assert np.all(signal.samples[1] == 0.0)
 
     def test_nyquist_violation_rejected(self):
-        spec = SynthSpec(
-            node_terms=(((16.0, 1.0),), ((1.0, 1.0),)),
-            sample_rate_hz=32.0,
-            duration_s=1.0,
-        )
         with pytest.raises(NyquistViolationError):
-            generate(spec)
+            SynthSpec(
+                node_terms=(((16.0, 1.0),), ((1.0, 1.0),)),
+                sample_rate_hz=32.0,
+                duration_s=1.0,
+            )
 
     def test_non_integral_duration_rejected(self):
-        spec = SynthSpec(
-            node_terms=(((1.0, 1.0),), ((1.0, 1.0),)),
-            sample_rate_hz=32.0,
-            duration_s=0.33,
-        )
         with pytest.raises(BadParameterError):
-            generate(spec)
+            SynthSpec(
+                node_terms=(((1.0, 1.0),), ((1.0, 1.0),)),
+                sample_rate_hz=32.0,
+                duration_s=0.33,
+            )
+
+    def test_same_frequency_terms_add(self):
+        spec = SynthSpec(
+            node_terms=(((4.0, 1.0), (4.0, 0.5)), ((8.0, 0.5),)),
+            sample_rate_hz=64.0,
+            duration_s=2.0,
+        )
+        signal, truth = generate(spec)
+        cosine = np.cos(2.0 * np.pi * 4.0 * np.arange(128) / 64.0)
+        assert np.array_equal(truth.components[4.0][0], 1.5 * cosine)
+        assert np.array_equal(signal.samples[0], 1.5 * cosine)
+        assert truth.partitions[4.0] == ((0,), (1,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_matches_node_by_node_reference(self, spec):
+        signal, truth = generate(spec)
+        samples, clean, components, partitions = reference_generate(spec)
+        assert same_bits(signal.samples, samples)
+        assert same_bits(truth.clean, clean)
+        assert list(truth.components) == list(components)
+        for freq, comp in components.items():
+            assert same_bits(truth.components[freq], comp)
+        assert truth.partitions == partitions
 
     def test_integer_cycles_for_preset_tones(self):
         spec = paper_preset()
@@ -122,3 +211,49 @@ class TestGenerate:
             for freq, _ in terms:
                 cycles = freq * t_total
                 assert cycles == int(cycles)
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"node_terms": (((4.0, 1.0),),)}, BadParameterError,
+             "a graph signal needs at least 2 nodes"),
+            ({"sample_rate_hz": float("inf")}, BadParameterError,
+             "sample_rate_hz must be finite and positive"),
+            ({"sample_rate_hz": 0.0}, BadParameterError,
+             "sample_rate_hz must be finite and positive"),
+            ({"duration_s": float("nan")}, BadParameterError,
+             "duration_s must be finite and positive"),
+            ({"snr_db": float("-inf")}, BadParameterError,
+             "snr_db must be finite"),
+            ({"seed": -1}, BadParameterError,
+             "seed must be a nonnegative integer"),
+            ({"seed": 1.0}, BadParameterError,
+             "seed must be a nonnegative integer"),
+            ({"duration_s": 0.05}, BadParameterError,
+             "duration_s * sample_rate_hz must be an integer >= 4"),
+            ({"sample_rate_hz": 1e200, "duration_s": 1e200}, BadParameterError,
+             "duration_s * sample_rate_hz must be an integer >= 4"),
+            ({"node_terms": (((-1.0, 1.0),), ())}, BadParameterError,
+             "frequencies must be nonnegative"),
+            ({"node_terms": (((32.0, 1.0),), ())}, NyquistViolationError,
+             "32.0 Hz is not below the Nyquist rate 32.0 Hz"),
+        ],
+        ids=["one_node", "rate_inf", "rate_zero", "duration_nan", "snr_inf",
+             "seed_negative", "seed_float", "too_short", "product_overflow",
+             "negative_frequency", "nyquist"],
+    )
+    def test_bad_spec_raises_when_built(self, fields, error, message):
+        values = {"node_terms": TWO_NODES, "sample_rate_hz": 64.0,
+                  "duration_s": 2.0, **fields}
+        with pytest.raises(error) as excinfo:
+            SynthSpec(**values)
+        assert str(excinfo.value) == message
+
+    def test_replace_checks_again(self):
+        spec = SynthSpec(TWO_NODES, sample_rate_hz=64.0, duration_s=2.0)
+        with pytest.raises(BadParameterError, match="snr_db must be finite"):
+            dataclasses.replace(spec, snr_db=float("nan"))
+        with pytest.raises(NyquistViolationError):
+            dataclasses.replace(spec, sample_rate_hz=16.0, duration_s=8.0)
