@@ -60,7 +60,7 @@ def _spec_from_json(path: str) -> SynthSpec:
             snr_db=(
                 float(payload["snr_db"]) if payload.get("snr_db") is not None else None
             ),
-            seed=int(payload.get("seed", 0)),
+            seed=payload.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TvgmdError(f"bad synth spec {path}: {exc}") from exc
@@ -74,7 +74,11 @@ def cmd_synth(args) -> int:
     overrides = {"snr_db": args.snr, "seed": args.seed}
     spec = dataclasses.replace(
         spec, **{name: v for name, v in overrides.items() if v is not None})
-    signal, truth = generate(spec)
+    try:
+        signal, truth = generate(spec)
+    except MemoryError:
+        raise TvgmdError(f"{len(spec.node_terms)} x {spec.n_samples} samples "
+                         "do not fit in memory") from None
     out = Path(args.out)
     write_signal_csv(out, signal)
     truth_path = out.parent / "ground_truth.json"

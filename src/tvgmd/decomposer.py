@@ -24,18 +24,25 @@ reduces to the multivariate mode decomposition baseline.
 The spectral update is elementwise, so the sweep runs over blocks of
 whole node rows sized to stay in cache (about ``_BLOCK_BYTES`` per
 rows-by-coefficients slice) and gives the same values as one sweep over
-whole arrays. The centers, the residual ``x - sum_k g`` (shared by the
-objective and the dual step), the convergence sums and the objective
-reduce over whole arrays.
+whole arrays. Without graphs the sweep also forms, block by block, each
+(mode, node)'s change and, once a block's modes are done, that block's
+residual ``x - sum_k g``, dual step and objective fit term; only the fit
+term's sum differs in rounding from a whole-array pass. The centers and
+the per-(mode, node) energies come from a whole-array pass over each mode
+after the sweep. With graphs the change and the residual are formed after
+smoothing, over whole arrays.
 
-Memory: across an iteration the loop keeps two ``(K, N, P)`` mode
-buffers, which alternate between the previous and the next iterate, and
-four ``(N, P)`` arrays: the input coefficients, the duals, the residual
-and the buffer that step (2) squares each mode into. Each iteration's
-per-(mode, node) energies serve as the next iteration's denominators, so
-no iterate is copied or squared twice. When the loop ends all of it but
-the final modes' buffer is released, and the modes are transformed back
-one at a time.
+Memory: without graphs the loop keeps one ``(K, N, P)`` mode buffer,
+which the sweep updates in place, and three ``(N, P)`` arrays: the input
+coefficients, the duals and the buffer that step (2) squares each mode
+into. With graphs it keeps a second mode buffer, because the sweep writes
+the next modes there and the change is measured after smoothing; the two
+buffers alternate between the previous and the next iterate. Each
+iteration's per-(mode, node) energies serve as the next iteration's
+denominators, so no iterate is copied or squared twice. When the loop
+ends all of it but the final modes' buffer is released, and each mode
+goes back to the time domain one row block at a time into one ``(N, T)``
+scratch array.
 """
 
 from __future__ import annotations
@@ -96,35 +103,71 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
     return np.sort(omegas)
 
 
-def _sweep(g, g_prev, x_c, lam, gains, blocks):
-    """Step (1): write the next modes into ``g`` from ``g_prev``, one block
-    of node rows at a time; within a block in order over k, so later modes
-    see the earlier modes' fresh spectra. A function of its own so that
-    ``lam / 2`` and the block views are freed when the sweep ends."""
-    half_lam = lam / 2.0
+def _sweep(g, x_c, lam, gains, blocks, out=None, tau=0.0, weights=None):
+    """Step (1): the next modes from ``g``, one block of node rows at a
+    time; within a block in order over k, so later modes see the earlier
+    modes' fresh spectra.
+
+    With ``out`` the next modes are written there and ``g`` is left as it
+    was: the graph path measures its change after smoothing. Without it
+    the sweep updates ``g`` in place and does the rest of a ``beta = 0``
+    iteration but the centers: a new mode value is written over the old
+    one only after its ``sum_p (new - old)^2`` has gone into that (mode,
+    node)'s change, and once a block's modes are done, the block's
+    residual, dual step and fit term are formed (:func:`_dual_step`). It
+    then returns the (K, N) change and the summed fit term. Every
+    temporary of the sweep is block-sized.
+    """
+    in_place = out is None
+    if in_place:
+        out = g
+        change = np.empty(g.shape[:2])
+        fit = 0.0
     for rows in blocks:
-        old = g_prev[:, rows]
+        old = g[:, rows]
         running_sum = old.sum(axis=0)
+        half_lam = lam[rows] / 2.0
         work = np.empty_like(running_sum)
+        new = np.empty_like(running_sum)
         for mode, gain in enumerate(gains):
             # numerator x - (running_sum - old) + lam / 2, formed in work
             np.subtract(running_sum, old[mode], out=work)
             np.subtract(x_c[rows], work, out=work)
-            work += half_lam[rows]
-            updated = np.multiply(work, gain, out=g[mode, rows])
-            running_sum += np.subtract(updated, old[mode], out=work)
+            work += half_lam
+            np.multiply(work, gain, out=new)
+            running_sum += np.subtract(new, old[mode], out=work)
+            if in_place:
+                change[mode, rows] = np.square(work, out=work).sum(axis=1)
+            out[mode, rows] = new
+        if in_place:
+            fit += _dual_step(g, x_c, lam, rows, tau, weights)
+    return (change, fit) if in_place else None
 
 
-def _objective(config, omegas, grid, weights, mode_power, resid, lam,
-               edge_w, zs) -> float:
+def _dual_step(g, x_c, lam, rows, tau, weights) -> float:
+    """Dual ascent ``lam += tau * resid`` on the node rows ``rows``, with
+    the residual ``resid = x - sum_k g``; returns their reconstruction and
+    dual objective term ``sum(weights * resid * (resid + lam))`` at the
+    new duals."""
+    resid = np.subtract(x_c[rows], g[:, rows].sum(axis=0))
+    if tau != 0.0:
+        lam[rows] += tau * resid
+    fit = resid + lam[rows]
+    fit *= resid
+    fit *= weights
+    return float(np.sum(fit))
+
+
+def _objective(config, omegas, grid, weights, mode_power, fit, edge_w,
+               zs) -> float:
     """Augmented-Lagrangian value of the loop's state.
 
     ``mode_power`` (K, P) holds each mode's squared coefficients summed
-    over nodes, ``resid`` (N, P) the input minus the mode sum and ``lam``
-    the duals; ``grid`` and ``weights`` are the frequency and energy
-    weight of each coefficient. The spectral part sums, over modes and
-    nodes, the bandwidth penalty ``2*alpha*(omega - omega_k)^2 g^2`` plus
-    the reconstruction quadratic and the dual inner product, each
+    over nodes and ``fit`` the reconstruction and dual term from
+    :func:`_dual_step`; ``grid`` and ``weights`` are the frequency and
+    energy weight of each coefficient. The spectral part sums, over modes
+    and nodes, the bandwidth penalty ``2*alpha*(omega - omega_k)^2 g^2``
+    plus the reconstruction quadratic and the dual inner product, each
     coefficient weighted by its energy weight, so the reconstruction term
     equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2``. When
     ``beta > 0`` the graph part adds ``2*beta*w'z + gamma*||w||^2 -
@@ -133,10 +176,7 @@ def _objective(config, omegas, grid, weights, mode_power, resid, lam,
     """
     sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
     bandwidth = float(np.sum(mode_power * sq * weights))
-    fit = resid + lam  # reconstruction and dual terms, formed in place
-    fit *= resid
-    fit *= weights
-    value = 2.0 * config.alpha * bandwidth + float(np.sum(fit))
+    value = 2.0 * config.alpha * bandwidth + fit
     if config.beta > 0:
         value += float(
             graph_objective(edge_w, zs, config.beta, config.gamma).sum()
@@ -162,14 +202,15 @@ def _iterate(
     root_weights = np.sqrt(weights)
     blocks = _row_blocks(n, x_c.shape[1])
 
-    # The sweep reads the modes from g_prev and writes the next ones into
-    # the other buffer; the two buffers swap roles every iteration.
+    # Without graphs the sweep updates the one mode buffer in place. With
+    # them it writes the next modes into a second buffer, because the
+    # change is measured after smoothing; the two swap roles every
+    # iteration.
     g = np.zeros((k,) + x_c.shape)
-    spare = np.empty_like(g)
+    spare = np.empty_like(g) if graphs else None
     energy = np.zeros((k, n))  # per-(mode, node) energy of g
     mode_power = np.empty((k, x_c.shape[1]))  # per-(mode, coefficient)
     power = np.empty_like(x_c)
-    resid = np.empty_like(x_c)
     lam = np.zeros_like(x_c)
     omegas = _initial_omegas(
         config, x_c, grid, 2 * t if config.mirror_extend else t
@@ -183,12 +224,17 @@ def _iterate(
     iteration = 0
     while iteration < config.max_iter:
         iteration += 1
-        g_prev, g = g, spare
         prev, energy = energy, np.empty((k, n))
 
-        # (1) spectral sweep
+        # (1) spectral sweep; without graphs it also makes steps (5) and
+        # (6) block by block
         gains = [wiener_weights(grid, omega, config.alpha) for omega in omegas]
-        _sweep(g, g_prev, x_c, lam, gains, blocks)
+        if graphs:
+            g_prev, g = g, spare
+            _sweep(g_prev, x_c, lam, gains, blocks, out=g)
+        else:
+            change, fit = _sweep(g, x_c, lam, gains, blocks, tau=config.tau,
+                                 weights=weights)
 
         # (2) center frequencies from the fresh spectra; without graphs
         # these are also the final modes, whose energies the next
@@ -226,18 +272,16 @@ def _iterate(
             graphs_solved &= bool(solved.all())
             graph_steps = tuple(int(s) for s in steps)
             graph_converged = tuple(bool(c) for c in solved)
+            # (5) dual ascent on all rows at once
+            fit = _dual_step(g, x_c, lam, slice(None), config.tau, weights)
+            # (6) the per-(mode, node) change, formed in g_prev's buffer,
+            # the next sweep's output
+            diff = np.subtract(g, g_prev, out=g_prev)
+            change = np.sum(np.square(diff, out=diff), axis=2)
+            spare = g_prev
 
-        # (5) dual ascent on the residual, which the objective shares
-        np.subtract(x_c, g.sum(axis=0), out=resid)
-        if config.tau != 0.0:
-            lam += config.tau * resid
-
-        # (6) convergence on the summed per-(mode, node) relative change;
-        # the change is formed in g_prev's buffer, the next sweep's output
-        change = np.subtract(g, g_prev, out=g_prev)
-        diff = np.sum(np.square(change, out=change), axis=2)
-        rel_change = float(np.sum(diff / (prev + _EPS)))
-        spare = g_prev
+        # convergence on the summed per-(mode, node) relative change
+        rel_change = float(np.sum(change / (prev + _EPS)))
 
         # tests/test_core.py checks the objective against a whole-state
         # reference by reading this frame's g, lam, omegas, x_c, grid,
@@ -249,8 +293,8 @@ def _iterate(
                 rel_change=rel_change,
                 omegas=tuple(float(o) for o in omegas),
                 objective=_objective(
-                    config, omegas, grid, weights, mode_power, resid, lam,
-                    edge_w, zs,
+                    config, omegas, grid, weights, mode_power, fit, edge_w,
+                    zs,
                 ),
                 graph_steps=graph_steps,
                 graph_converged=graph_converged,
@@ -287,17 +331,26 @@ def decompose(
         raise NonFiniteInputError("signal contains NaN or infinite samples")
     g, omegas, edge_w, trace, converged = _iterate(x, config)
 
-    # One mode at a time back to the time domain; the residual adds the
-    # modes in loop order.
-    modes = [
-        GraphMode(
-            mode_samples=from_coefficients(g[mode], t, config.mirror_extend),
+    # Each mode goes back to the time domain one block of node rows at a
+    # time, so the transform's temporaries stay block-sized, into one
+    # scratch array that GraphMode copies. Once the coefficients are
+    # released, the same array sums the modes in loop order for the
+    # residual.
+    blocks = _row_blocks(n, g.shape[2])
+    scratch = np.empty((n, t))
+    modes = []
+    for mode in range(config.K):
+        for rows in blocks:
+            scratch[rows] = from_coefficients(g[mode, rows], t,
+                                              config.mirror_extend)
+        modes.append(GraphMode(
+            mode_samples=scratch,
             center_freq_hz=float(omegas[mode] * signal.sample_rate_hz),
             edge_weights=edge_w[mode] if config.beta > 0 else np.empty(0),
-        )
-        for mode in range(config.K)
-    ]
-    total = modes[0].mode_samples.copy()
+        ))
+    del g
+    total = scratch
+    total[...] = modes[0].mode_samples
     for mode in modes[1:]:
         total += mode.mode_samples
     order = np.argsort(omegas, kind="stable")

@@ -41,9 +41,10 @@ class SynthSpec:
 
     A spec checks itself when built (``dataclasses.replace`` included): it
     needs 2+ nodes, a finite positive rate and duration whose product is an
-    integer >= 4, a finite SNR, a nonnegative integer seed and frequencies
-    in [0, Nyquist). Otherwise it raises :class:`BadParameterError`, or
-    :class:`NyquistViolationError` for a tone at or above Nyquist.
+    integer >= 4, a finite SNR, a nonnegative integer seed (not a bool),
+    finite amplitudes and finite frequencies in [0, Nyquist). Otherwise it
+    raises :class:`BadParameterError`, or :class:`NyquistViolationError`
+    for a tone at or above Nyquist.
     """
 
     node_terms: tuple[tuple[tuple[float, float], ...], ...]
@@ -61,7 +62,8 @@ class SynthSpec:
             raise BadParameterError("duration_s must be finite and positive")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise BadParameterError("snr_db must be finite")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (isinstance(self.seed, (int, np.integer))
+                and not isinstance(self.seed, bool) and self.seed >= 0):
             raise BadParameterError("seed must be a nonnegative integer")
         t_float = self.duration_s * self.sample_rate_hz
         if not (np.isfinite(t_float) and abs(t_float - round(t_float)) <= 1e-9
@@ -71,13 +73,22 @@ class SynthSpec:
             )
         nyquist = self.sample_rate_hz / 2.0
         for terms in self.node_terms:
-            for freq, _amp in terms:
+            for freq, amp in terms:
+                if not np.isfinite(freq):
+                    raise BadParameterError("frequencies must be finite")
+                if not np.isfinite(amp):
+                    raise BadParameterError("amplitudes must be finite")
                 if freq < 0:
                     raise BadParameterError("frequencies must be nonnegative")
                 if freq >= nyquist:
                     raise NyquistViolationError(
                         f"{freq} Hz is not below the Nyquist rate {nyquist} Hz"
                     )
+
+    @property
+    def n_samples(self) -> int:
+        """Samples per node: ``duration_s * sample_rate_hz``."""
+        return round(self.duration_s * self.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ def generate(spec: SynthSpec) -> tuple[TimeVaryingGraphSignal, GroundTruth]:
     Fixing ``seed`` fixes the output.
     """
     n_nodes = len(spec.node_terms)
-    t_len = round(spec.duration_s * spec.sample_rate_hz)
+    t_len = spec.n_samples
     t = np.arange(t_len) / spec.sample_rate_hz
     frequencies = sorted({f for terms in spec.node_terms for f, _ in terms})
     amplitudes = np.zeros((n_nodes, len(frequencies)))

@@ -133,9 +133,20 @@ class TestSynthCommand:
             ({}, ("--seed", "-1", "--snr", "6"), "seed"),
             ({"sample_rate_hz": 1e200, "duration_s": 1e200}, (),
              "duration_s * sample_rate_hz must be an integer >= 4\n"),
+            ({"node_terms": [[[float("nan"), 1.0]], [[8.0, 0.5]]]}, (),
+             "frequencies must be finite\n"),
+            ({"node_terms": [[[4.0, float("nan")]], [[8.0, 0.5]]]}, (),
+             "amplitudes must be finite\n"),
+            ({"seed": 1.5}, (), "seed must be a nonnegative integer\n"),
+            ({"seed": True}, (), "seed must be a nonnegative integer\n"),
+            # 1e15 samples per node, petabytes that no allocation attempt
+            # can start on
+            ({"sample_rate_hz": 1e6, "duration_s": 1e9}, (),
+             "2 x 1000000000000000 samples do not fit in memory\n"),
         ],
         ids=["snr_nan", "snr_inf", "snr_minus_inf", "rate_inf", "duration_inf",
-             "seed_negative", "product_overflow"],
+             "seed_negative", "product_overflow", "frequency_nan",
+             "amplitude_nan", "seed_fraction", "seed_bool", "too_large"],
     )
     def test_bad_spec_is_an_error(self, tmp_path, capsys, overrides, flags,
                                   message):

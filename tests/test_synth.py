@@ -239,10 +239,21 @@ class TestSpecChecks:
              "frequencies must be nonnegative"),
             ({"node_terms": (((32.0, 1.0),), ())}, NyquistViolationError,
              "32.0 Hz is not below the Nyquist rate 32.0 Hz"),
+            ({"seed": True}, BadParameterError,
+             "seed must be a nonnegative integer"),
+            ({"node_terms": (((float("nan"), 1.0),), ())}, BadParameterError,
+             "frequencies must be finite"),
+            ({"node_terms": (((float("inf"), 1.0),), ())}, BadParameterError,
+             "frequencies must be finite"),
+            ({"node_terms": (((4.0, float("nan")),), ())}, BadParameterError,
+             "amplitudes must be finite"),
+            ({"node_terms": ((), ((4.0, float("-inf")),))}, BadParameterError,
+             "amplitudes must be finite"),
         ],
         ids=["one_node", "rate_inf", "rate_zero", "duration_nan", "snr_inf",
              "seed_negative", "seed_float", "too_short", "product_overflow",
-             "negative_frequency", "nyquist"],
+             "negative_frequency", "nyquist", "seed_bool", "frequency_nan",
+             "frequency_inf", "amplitude_nan", "amplitude_minus_inf"],
     )
     def test_bad_spec_raises_when_built(self, fields, error, message):
         values = {"node_terms": TWO_NODES, "sample_rate_hz": 64.0,
