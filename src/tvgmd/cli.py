@@ -176,10 +176,12 @@ def cmd_inspect(args) -> int:
         except FileNotFoundError as exc:
             missing = f"{run_dir} lacks {Path(exc.filename).name}"
             raise TvgmdError(f"{missing}, listed in summary.json") from None
-        coefficients, grid, _ = to_coefficients(mode, mirror)
-        node_power, grid = bin_power(coefficients, grid, mirror)
-        power = node_power.sum(axis=0)
         t_ext = 2 * mode.shape[1] if mirror else mode.shape[1]
+        coefficients, grid, _ = to_coefficients(mode, mirror)
+        del mode  # only the power is kept
+        node_power, grid = bin_power(coefficients, grid, mirror)
+        del coefficients
+        power = node_power.sum(axis=0)
         try:
             center_norm = mean_frequency(power, grid)
         except DegenerateModeError:
@@ -200,7 +202,9 @@ def cmd_inspect(args) -> int:
             f"  missed tolerance: {graph_solves.count(False)}"
         )
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
-    for k, center_hz, concentration, node_power, grid, weights in analyses:
+    analyses.reverse()
+    while analyses:  # each analysis is dropped once its spectrum is written
+        k, center_hz, concentration, node_power, grid, weights = analyses.pop()
         if has_graphs:
             rows, cols = edge_pairs(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]
@@ -220,8 +224,10 @@ def cmd_inspect(args) -> int:
                 )
         if args.plot_data:
             # Column 0: frequency in Hz; columns 1..N: per-node magnitudes.
-            table = np.column_stack([grid * fs, np.sqrt(node_power).T])
-            write_matrix_csv(run_dir / f"spectrum_{k}.csv", table)
+            write_matrix_csv(
+                run_dir / f"spectrum_{k}.csv",
+                np.column_stack([grid * fs, np.sqrt(node_power).T]),
+            )
     if args.plot_data:
         print(f"wrote {len(centers)} spectrum CSVs to {run_dir}")
     return 0

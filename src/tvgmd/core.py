@@ -1,7 +1,14 @@
 """Domain types and self-checking configuration.
 
 All containers are immutable after construction and safe to share across
-threads; arrays are copied in and marked read-only.
+threads; their arrays are read-only. An array that is read-only all the way
+down its ``.base`` chain, to the array that owns its data, is shared as it
+is: ``decompose`` hands its finished modes and residual over this way, and
+the input readers their parsed samples. Anything else is copied and the
+copy marked read-only: a writable array, a read-only view of a writable
+array, an array over another object's buffer (a ``bytearray``, say), or a
+list. Code that sets a shared array's owner writable again breaks the
+promise.
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ _FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
+    if isinstance(value, np.ndarray) and value.dtype == dtype:
+        base = value
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            if base.flags.owndata:
+                return value
+            base = base.base
     arr = np.array(value, dtype=dtype)
     arr.flags.writeable = False
     return arr

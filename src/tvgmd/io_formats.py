@@ -155,10 +155,9 @@ def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray
 def read_signal_csv(
     path: str | os.PathLike, sample_rate_hz: float, header: bool = False
 ) -> TimeVaryingGraphSignal:
-    return TimeVaryingGraphSignal(
-        samples=read_matrix_csv(path, header=header),
-        sample_rate_hz=sample_rate_hz,
-    )
+    samples = read_matrix_csv(path, header=header)
+    samples.flags.writeable = False  # so the signal shares it
+    return TimeVaryingGraphSignal(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
 def write_json(path: str | os.PathLike, payload) -> Path:

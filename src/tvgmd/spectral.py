@@ -27,6 +27,19 @@ import numpy as np
 
 from .errors import DegenerateModeError, DimensionMismatchError
 
+# Bytes of one (rows, columns) slice of a row block, so that the slices one
+# block touches stay in a core's L2 cache. Blocks hold whole rows, so every
+# slice is contiguous whatever the row count.
+_BLOCK_BYTES = 128 * 1024
+
+
+def row_blocks(n_rows: int, n_columns: int) -> list[slice]:
+    """Slices of whole rows of an ``(n_rows, n_columns)`` float array, each
+    about ``_BLOCK_BYTES``; the last may reach past ``n_rows``. The
+    transforms and the decomposition's sweep run over these blocks."""
+    height = max(1, _BLOCK_BYTES // (8 * n_columns))
+    return [slice(a, a + height) for a in range(0, n_rows, height)]
+
 
 def _frequency_grid(t_ext: int) -> np.ndarray:
     """Normalized frequencies of the half-spectrum bins for length ``t_ext``."""
@@ -59,17 +72,24 @@ def to_coefficients(
     ``(..., P)``, the normalized frequency of each coefficient and the
     energy weights, both of length P. With ``mirror`` the coefficients are
     the unnormalized DCT-II ``c_j = 2 sum_n x_n cos(pi j (2n+1) / 2T)``,
-    P = T; otherwise the rfft bins as (re, im) pairs, P = 2 (T//2 + 1).
+    P = T, formed over blocks of rows (:func:`row_blocks`) so that the
+    mirror extension and its spectrum stay block-sized; otherwise the
+    rfft bins as (re, im) pairs, P = 2 (T//2 + 1).
     """
     x = np.asarray(series, dtype=float)
     t = x.shape[-1]
     if mirror:
-        spectrum = np.fft.rfft(np.concatenate([x, x[..., ::-1]], axis=-1))
-        spectrum = spectrum[..., :t] * _half_sample_phase(t).conj()
+        rows = x.reshape(-1, t)
+        coefficients = np.empty(rows.shape)
+        phase = _half_sample_phase(t).conj()
+        for block in row_blocks(len(rows), t):
+            chunk = rows[block]
+            spectrum = np.fft.rfft(np.concatenate([chunk, chunk[:, ::-1]], 1))
+            coefficients[block] = (spectrum[:, :t] * phase).real
         grid = np.arange(t) / (2 * t)
         weights = np.full(t, 1.0 / (2 * t))
         weights[0] = 1.0 / (4 * t)
-        return spectrum.real.copy(), grid, weights
+        return coefficients.reshape(x.shape), grid, weights
     coefficients = np.fft.rfft(x).view(float)
     grid = np.repeat(_frequency_grid(t), 2)
     weights = np.repeat(_parseval_weights(t) / t, 2)
@@ -77,9 +97,17 @@ def to_coefficients(
 
 
 def from_coefficients(
-    coefficients: np.ndarray, t: int, mirror: bool = True
+    coefficients: np.ndarray, t: int, mirror: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Invert :func:`to_coefficients` for series of length ``t``."""
+    """Invert :func:`to_coefficients` for series of length ``t``.
+
+    The inverse runs over blocks of rows (:func:`row_blocks`), so its
+    temporaries stay block-sized, and returns ``out`` when given: an array
+    of shape ``(rows, t)`` for 2-D coefficients. ``out`` may be the first
+    ``t`` columns of the coefficients' own buffer, since every block is
+    read in full before it is written.
+    """
     c = np.asarray(coefficients, dtype=float)
     expected = t if mirror else 2 * (t // 2 + 1)
     if c.shape[-1] != expected:
@@ -87,11 +115,18 @@ def from_coefficients(
             f"{c.shape[-1]} coefficients do not describe {t} samples "
             f"({expected} expected)"
         )
-    if mirror:
-        spectrum = np.zeros(c.shape[:-1] + (t + 1,), dtype=complex)
-        np.multiply(c, _half_sample_phase(t), out=spectrum[..., :t])
-        return np.fft.irfft(spectrum, n=2 * t)[..., :t]
-    return np.fft.irfft(np.ascontiguousarray(c).view(complex), n=t)
+    rows = c.reshape(-1, expected)
+    series = np.empty((len(rows), t)) if out is None else out
+    phase = _half_sample_phase(t) if mirror else None
+    for block in row_blocks(len(rows), expected):
+        if mirror:
+            spectrum = np.zeros((rows[block].shape[0], t + 1), dtype=complex)
+            np.multiply(rows[block], phase, out=spectrum[:, :t])
+            series[block] = np.fft.irfft(spectrum, n=2 * t)[:, :t]
+        else:
+            series[block] = np.fft.irfft(
+                np.ascontiguousarray(rows[block]).view(complex), n=t)
+    return series.reshape(c.shape[:-1] + (t,)) if out is None else out
 
 
 def bin_power(

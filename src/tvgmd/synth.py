@@ -146,14 +146,18 @@ def generate(spec: SynthSpec) -> tuple[TimeVaryingGraphSignal, GroundTruth]:
         silent = [n for n in range(n_nodes) if n not in active]
         partitions[freq] = (tuple(active), tuple(silent))
 
-    samples = clean
-    if spec.snr_db is not None:
+    if spec.snr_db is None:
+        samples = clean.copy()  # clean stays writable in the ground truth
+    else:
         rng = np.random.default_rng(spec.seed)
         clean_power = np.mean(clean**2, axis=1)
         power = np.where(clean_power > 0, clean_power, clean_power.mean())
         sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
         # One (N, T) draw takes the stream node by node, as N draws would.
-        samples = clean + rng.normal(0.0, sigma[:, None], clean.shape)
+        samples = rng.normal(0.0, sigma[:, None], clean.shape)
+        samples += clean
+    # read-only, so the signal shares it (see tvgmd.core)
+    samples.flags.writeable = False
 
     signal = TimeVaryingGraphSignal(
         samples=samples, sample_rate_hz=spec.sample_rate_hz

@@ -1,17 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvgmd.cli import main
-from tvgmd.core import DecompositionConfig
+from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
+from tvgmd.decomposer import decompose
 from tvgmd.errors import TvgmdError
-from tvgmd.io_formats import read_matrix_csv, read_summary_json, write_matrix_csv
+from tvgmd.io_formats import (
+    read_matrix_csv,
+    read_summary_json,
+    write_matrix_csv,
+    write_result,
+)
 
 FS_PRESET = "512"
 
@@ -491,6 +500,36 @@ class TestInspectCommand:
             assert np.allclose(table[:, 0], np.arange(bins) * 256.0 / ext.shape[1],
                                rtol=1e-15, atol=0.0)
             assert np.abs(table[:, 1:] - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("mirror,bound", [(True, 7.0), (False, 4.75)])
+    def test_plot_data_peak_holds_one_mode_at_a_time(self, tmp_path, mirror,
+                                                     bound):
+        # inspect analyses every mode before it writes anything, so it
+        # holds K power spectra. Each mode's samples and coefficients are
+        # dropped once its power is formed, and the mirrored transform
+        # runs over row blocks: about 6.5 mode matrices at the peak with
+        # mirroring, reached as the first spectrum is written, and 4.2
+        # without (K = 4). Keeping a mode's samples and coefficients until
+        # the next mode is read, or a whole-array mirrored transform, goes
+        # past the bound.
+        n, t = 32, 4096
+        signal = TimeVaryingGraphSignal(
+            samples=np.random.default_rng(0).standard_normal((n, t)),
+            sample_rate_hz=256.0,
+        )
+        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0, max_iter=2,
+                                     mirror_extend=mirror)
+        write_result(tmp_path, decompose(signal, config), config,
+                     sample_rate_hz=256.0, input_sha256="0", timing_ms=0.0)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["inspect", "--run", str(tmp_path), "--plot-data"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / (n * t * 8) <= bound
 
     def test_all_zero_mode_has_zero_concentration(self, tmp_path, small_signal,
                                                   capsys):

@@ -23,11 +23,16 @@ import numpy as np
 import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
-from tvgmd.decomposer import _initial_omegas, _row_blocks, decompose
+from tvgmd.decomposer import _initial_omegas, decompose
 from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import graph_objective, learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
-from tvgmd.spectral import mean_frequency, to_coefficients, wiener_weights
+from tvgmd.spectral import (
+    mean_frequency,
+    row_blocks,
+    to_coefficients,
+    wiener_weights,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -255,7 +260,7 @@ def test_blocked_sweep_matches_reference_loop(mirror, tau):
     # one partial
     signal = wide_signal()
     n, t = signal.samples.shape
-    blocks = _row_blocks(n, t if mirror else 2 * (t // 2 + 1))
+    blocks = row_blocks(n, t if mirror else 2 * (t // 2 + 1))
     assert len(blocks) >= 3
     assert blocks[-1].stop > n
     config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=tau,

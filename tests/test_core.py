@@ -234,6 +234,81 @@ class TestDomainTypes:
         assert total + result.residual == pytest.approx(x, abs=1e-12)
 
 
+def held_arrays(array):
+    """The arrays each public container holds when built around ``array``
+    (3 x 3): signal samples, mode samples, residual, and its first row as
+    edge weights."""
+    signal = TimeVaryingGraphSignal(samples=array, sample_rate_hz=1.0)
+    mode = GraphMode(mode_samples=array, center_freq_hz=1.0,
+                     edge_weights=array[0])
+    result = DecompositionResult(modes=(mode,), residual=array, iterations=1,
+                                 converged=True, trace=())
+    return [signal.samples, mode.mode_samples, result.residual,
+            mode.edge_weights]
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+class TestArraySharing:
+    def test_writable_array_is_copied(self):
+        array = np.arange(9.0).reshape(3, 3)
+        held = held_arrays(array)
+        array[...] = 7.0
+        for copy in held:
+            assert not np.shares_memory(copy, array)
+            assert copy.ravel()[0] == 0.0
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        owner = np.arange(9.0).reshape(3, 3).copy()
+        held = held_arrays(read_only(owner[:, :]))
+        owner[...] = 7.0
+        for copy in held:
+            assert not np.shares_memory(copy, owner)
+            assert copy.ravel()[0] == 0.0
+
+    def test_array_over_a_bytearray_is_copied(self):
+        buffer = bytearray(np.arange(9.0).tobytes())
+        held = held_arrays(read_only(np.frombuffer(buffer).reshape(3, 3)))
+        buffer[:8] = np.float64(7.0).tobytes()
+        for copy in held:
+            assert copy.ravel()[0] == 0.0
+
+    def test_read_only_owner_is_shared(self):
+        owner = read_only(np.arange(9.0).reshape(3, 3).copy())
+        signal, mode, residual, weights = held_arrays(owner)
+        assert signal is mode is residual is owner
+        assert np.shares_memory(weights, owner)
+
+    @pytest.mark.parametrize("make", [
+        lambda: [[0.0, 1.0, 2.0]] * 3,
+        lambda: np.arange(9.0).reshape(3, 3),
+        lambda: read_only(np.arange(9.0).reshape(3, 3).copy()),
+        lambda: read_only(np.arange(9, dtype=np.int64).reshape(3, 3).copy()),
+    ], ids=["list", "writable", "read_only_owner", "read_only_int"])
+    def test_every_container_array_is_read_only(self, make):
+        for held in held_arrays(make()):
+            assert held.dtype == float
+            with pytest.raises(ValueError):
+                held[0] = 1.0
+
+    def test_decomposition_arrays_are_read_only(self):
+        signal = generate(paper_preset())[0]
+        result = decompose(signal, DecompositionConfig(K=2, alpha=200.0,
+                                                       max_iter=3))
+        arrays = [result.residual]
+        for mode in result.modes:
+            arrays += [mode.mode_samples, mode.edge_weights]
+            # a view of a read-only buffer cannot be made writable again
+            with pytest.raises(ValueError):
+                mode.mode_samples.flags.writeable = True
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 class TestObjectiveValue:
     def test_zero_modes_give_input_energy(self):
         signal = make_signal(n=3, t=16)

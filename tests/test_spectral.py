@@ -14,6 +14,7 @@ from tvgmd.spectral import (
     bin_power,
     from_coefficients,
     mean_frequency,
+    row_blocks,
     to_coefficients,
     wiener_weights,
 )
@@ -59,6 +60,33 @@ class TestTransforms:
         assert coefficients.shape[-1] == len(grid) == len(weights)
         back = from_coefficients(coefficients, t_len, mirror)
         assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_blocked_transforms_match_whole_array_transforms(self, mirror):
+        # 40 rows of 1000 samples span several row blocks, the last one
+        # partial; the FFT transforms each row alone, so blocking changes
+        # no value, also when the inverse writes into the first T columns
+        # of the coefficients' own buffer
+        n, t = 40, 1000
+        x = rng.standard_normal((n, t))
+        coefficients = to_coefficients(x, mirror)[0]
+        assert len(row_blocks(n, coefficients.shape[1])) >= 3
+        if mirror:
+            phase = np.exp(1j * np.pi * np.arange(t) / (2 * t))
+            spectrum = np.fft.rfft(np.concatenate([x, x[:, ::-1]], axis=1))
+            whole = (spectrum[:, :t] * phase.conj()).real
+            spectrum = np.zeros((n, t + 1), dtype=complex)
+            spectrum[:, :t] = coefficients * phase
+            back = np.fft.irfft(spectrum, n=2 * t)[:, :t]
+        else:
+            whole = np.fft.rfft(x).view(float)
+            back = np.fft.irfft(coefficients.view(complex), n=t)
+        assert np.array_equal(coefficients, whole)
+        assert np.array_equal(from_coefficients(coefficients, t, mirror), back)
+        in_place = from_coefficients(coefficients, t, mirror,
+                                     out=coefficients[:, :t])
+        assert np.shares_memory(in_place, coefficients)
+        assert np.array_equal(in_place, back)
 
     def test_dc_only_inverts_to_constant(self):
         coefficients = np.zeros(18)
