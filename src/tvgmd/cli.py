@@ -223,10 +223,12 @@ def cmd_inspect(args) -> int:
                     f"{weights[e]:.17g}"
                 )
         if args.plot_data:
-            # Column 0: frequency in Hz; columns 1..N: per-node magnitudes.
+            # Column 0: frequency in Hz; columns 1..N: per-node magnitudes,
+            # formed in the power's own buffer and written row by row.
             write_matrix_csv(
                 run_dir / f"spectrum_{k}.csv",
-                np.column_stack([grid * fs, np.sqrt(node_power).T]),
+                np.sqrt(node_power, out=node_power).T,
+                first_column=grid * fs,
             )
     if args.plot_data:
         print(f"wrote {len(centers)} spectrum CSVs to {run_dir}")
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dual ascent step; 0 tolerates noise "
                             "(default: %(default)s)")
     p_dec.add_argument("--epsilon", type=float, default=defaults.epsilon,
-                       help="convergence tolerance (default: %(default)s)")
+                       help="convergence tolerance on the summed per-mode "
+                            "relative change (default: %(default)s)")
     p_dec.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="iteration cap (default: %(default)s)")
     p_dec.add_argument("--omega-init", choices=OMEGA_INIT_CHOICES,

@@ -74,7 +74,10 @@ class DecompositionConfig:
     fidelity (larger = narrower modes); ``beta`` weights graph smoothness
     (0 disables all graph machinery); ``gamma`` penalizes large edge
     weights in the learned graphs; ``tau`` is the dual ascent step that
-    enforces exact reconstruction (0 leaves slack for noise).
+    enforces exact reconstruction (0 leaves slack for noise). The loop
+    stops when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``, each mode's squared
+    change over its previous energy with the norms taken over all nodes,
+    falls below ``epsilon``, or after ``max_iter`` iterations, unconverged.
     ``graph_max_iter`` caps the Newton steps of each graph solve and
     ``graph_epsilon`` is its KKT residual tolerance, relative to
     ``max(1, largest weight)``; a run in which any graph solve misses it
@@ -90,7 +93,7 @@ class DecompositionConfig:
     beta: float = 0.1
     gamma: float = 1.0
     tau: float = 0.0
-    epsilon: float = 1e-7
+    epsilon: float = 1e-12
     max_iter: int = 500
     omega_init: str = "zeros"
     mirror_extend: bool = True

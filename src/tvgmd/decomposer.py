@@ -2,50 +2,55 @@
 
 The input is transformed once into real coefficients
 (:func:`~tvgmd.spectral.to_coefficients`) and the modes are transformed
-back once at the end; every step in between works on real ``(K, N, P)``
-arrays. Each iteration sweeps, in order: per-mode per-node spectral
-updates at the current center frequencies (mode by mode, so later modes
-see the earlier modes' fresh spectra), the center-frequency updates, one
-graph-smoothing solve for all modes against the previous iteration's
-graphs, re-learning every mode's graph from its new pairwise distances in
-one lockstep learner call, and the dual ascent. Smoothing mixes nodes and
-the transform runs along time, so the smoothing solve applies to the
+back once at the end; every step in between works on real arrays. Each
+iteration sweeps, in order: per-mode per-node spectral updates at the
+current center frequencies (mode by mode, so later modes see the earlier
+modes' fresh spectra), the center-frequency updates, one graph-smoothing
+solve for all modes against the previous iteration's graphs, re-learning
+every mode's graph from its new pairwise distances in one lockstep
+learner call, and the dual ascent. Smoothing mixes nodes and the
+transform runs along time, so the smoothing solve applies to the
 coefficient rows directly, and by Parseval the distances of the rows
 scaled by ``sqrt(weights)`` are the time-domain distances. The loop stops
-when the summed relative spectral change drops below the tolerance; the
+when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``, each mode's squared change
+over its previous energy with the norms taken over all nodes and
+coefficients, drops below the tolerance: the rule of VMD (Dragomiretskiy
+& Zosso, IEEE TSP 2014) and MVMD (ur Rehman & Aftab, IEEE TSP 2019). The
 run counts as converged only if, in addition, every graph solve in it met
 its own tolerance. Each trace snapshot records every mode's Newton step
 count and convergence flag, and the augmented-Lagrangian objective, which
 is assembled from reductions the loop forms anyway.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
-reduces to the multivariate mode decomposition baseline.
+reduces to the multivariate mode decomposition baseline. Every step is
+then linear per coefficient with factors that all nodes share, so each
+mode is ``g_k = G_k * x_c`` and the duals are ``Lambda * x_c``. The loop
+runs on the gains ``G`` and the dual gains ``Lambda``, held as one row
+(shapes (K, 1, P) and (1, P)) so that the same sweep runs on them
+against an input of ones, and every sum over nodes weights a coefficient
+by ``s = sum_n x_c^2``, formed once. An iteration's cost does not grow
+with N, and the modes are formed once, when the loop ends.
 
-The spectral update is elementwise, so the sweep runs over blocks of
-whole node rows sized to stay in cache (:func:`~tvgmd.spectral.row_blocks`,
-which the transforms use too) and gives the same values as one sweep over
-whole arrays. Without graphs the sweep also forms, block by block, each
-(mode, node)'s change and, once a block's modes are done, that block's
-residual ``x - sum_k g``, dual step and objective fit term; only the fit
-term's sum differs in rounding from a whole-array pass. The centers and
-the per-(mode, node) energies come from a whole-array pass over each mode
-after the sweep. With graphs the change and the residual are formed after
-smoothing, over whole arrays.
+The spectral update is elementwise, so with graphs the sweep runs over
+blocks of whole node rows sized to stay in cache
+(:func:`~tvgmd.spectral.row_blocks`, which the transforms use too) and
+gives the same values as one sweep over whole arrays.
 
-Memory: without graphs the loop keeps one ``(K, N, P)`` mode buffer,
-which the sweep updates in place, and three ``(N, P)`` arrays: the input
-coefficients, the duals and the buffer that step (2) squares each mode
-into. With graphs it keeps a second mode buffer, because the sweep writes
-the next modes there and the change is measured after smoothing; the two
-buffers alternate between the previous and the next iterate. Each
-iteration's per-(mode, node) energies serve as the next iteration's
-denominators, so no iterate is copied or squared twice. When the loop
-ends all of it but the final modes' buffer is released. Each mode goes
-back to the time domain one row block at a time, into the first T of its
-own P >= T columns, and the result's modes share that buffer read-only;
-only the residual is a new ``(N, T)`` array. Without graphs the traced
-peak is about 1.95 buffers at K = 4, reached in the sweep: the mode
-buffer, the three ``(N, P)`` arrays, the gains and the block temporaries.
+Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers, which
+alternate between the previous and the next iterate, since the sweep
+writes the next modes into one and the change is formed in the other
+after smoothing; smoothing and the distances each make one more. It also
+keeps three ``(N, P)`` arrays: the input coefficients, the duals and the
+buffer that step (2) squares each mode into. Without graphs the loop
+holds the input coefficients and a few (K, P) arrays. Each iteration's
+per-mode energies serve as the next iteration's denominators, so no
+iterate is copied or squared twice. When the loop ends all of it but the
+final modes' buffer is released. Each mode goes back to the time domain
+one row block at a time, into the first T of its own P >= T columns, and
+the result's modes share that buffer read-only; only the residual is a
+new ``(N, T)`` array. Without graphs the traced peak is about 1.44
+buffers at K = 4, reached as the modes are formed: their buffer, the
+input coefficients and the loop's (K, P) arrays.
 """
 
 from __future__ import annotations
@@ -75,8 +80,6 @@ from .spectral import (
     wiener_weights,
 )
 
-_EPS = np.finfo(float).eps
-
 
 def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
                     grid: np.ndarray, t_ext: int) -> np.ndarray:
@@ -98,59 +101,47 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
     return np.sort(omegas)
 
 
-def _sweep(g, x_c, lam, gains, blocks, out=None, tau=0.0, weights=None):
-    """Step (1): the next modes from ``g``, one block of node rows at a
-    time; within a block in order over k, so later modes see the earlier
-    modes' fresh spectra.
-
-    With ``out`` the next modes are written there and ``g`` is left as it
-    was: the graph path measures its change after smoothing. Without it
-    the sweep updates ``g`` in place and does the rest of a ``beta = 0``
-    iteration but the centers: a new mode value is written over the old
-    one only after its ``sum_p (new - old)^2`` has gone into that (mode,
-    node)'s change, and once a block's modes are done, the block's
-    residual, dual step and fit term are formed (:func:`_dual_step`). It
-    then returns the (K, N) change and the summed fit term. Every
-    temporary of the sweep is block-sized.
+def _sweep(g, x, lam, gains, blocks, out):
+    """Step (1): the next modes from ``g`` into ``out``, one block of rows
+    of the input ``x`` at a time; within a block in order over k, so later
+    modes see the earlier modes' fresh spectra. Every temporary is
+    block-sized.
     """
-    in_place = out is None
-    if in_place:
-        out = g
-        change = np.empty(g.shape[:2])
-        fit = 0.0
     for rows in blocks:
         old = g[:, rows]
         running_sum = old.sum(axis=0)
         half_lam = lam[rows] / 2.0
         work = np.empty_like(running_sum)
-        new = np.empty_like(running_sum)
         for mode, gain in enumerate(gains):
             # numerator x - (running_sum - old) + lam / 2, formed in work
             np.subtract(running_sum, old[mode], out=work)
-            np.subtract(x_c[rows], work, out=work)
+            np.subtract(x[rows], work, out=work)
             work += half_lam
-            np.multiply(work, gain, out=new)
+            new = np.multiply(work, gain, out=out[mode, rows])
             running_sum += np.subtract(new, old[mode], out=work)
-            if in_place:
-                change[mode, rows] = np.square(work, out=work).sum(axis=1)
-            out[mode, rows] = new
-        if in_place:
-            fit += _dual_step(g, x_c, lam, rows, tau, weights)
-    return (change, fit) if in_place else None
 
 
-def _dual_step(g, x_c, lam, rows, tau, weights) -> float:
-    """Dual ascent ``lam += tau * resid`` on the node rows ``rows``, with
-    the residual ``resid = x - sum_k g``; returns their reconstruction and
-    dual objective term ``sum(weights * resid * (resid + lam))`` at the
-    new duals."""
-    resid = np.subtract(x_c[rows], g[:, rows].sum(axis=0))
+def _dual_step(g, x, lam, tau, weights) -> float:
+    """Dual ascent ``lam += tau * resid`` with the residual ``resid = x -
+    sum_k g``; returns the objective's reconstruction and dual term
+    ``sum(weights * resid * (resid + lam))`` at the new duals."""
+    resid = np.subtract(x, g.sum(axis=0))
     if tau != 0.0:
-        lam[rows] += tau * resid
-    fit = resid + lam[rows]
+        lam += tau * resid
+    fit = resid + lam
     fit *= resid
     fit *= weights
     return float(np.sum(fit))
+
+
+def _relative_change(change, prev) -> float:
+    """``sum_k change_k / prev_k``, each mode's squared change over its
+    previous energy, both summed over all nodes (the stopping rule of VMD
+    and MVMD). A mode without previous energy counts 1 if it moved and 0
+    if it stayed at zero."""
+    ratios = np.divide(change, prev, out=(change > 0).astype(float),
+                       where=prev > 0)
+    return float(ratios.sum())
 
 
 def _objective(config, omegas, grid, weights, mode_power, fit, edge_w,
@@ -179,6 +170,16 @@ def _objective(config, omegas, grid, weights, mode_power, fit, edge_w,
     return value
 
 
+def _update_centers(omegas, powers, grid) -> None:
+    """Step (2): each mode's center from its power; a collapsed mode keeps
+    its previous center."""
+    for mode, power in enumerate(powers):
+        try:
+            omegas[mode] = mean_frequency(power, grid)
+        except DegenerateModeError:
+            pass
+
+
 def _iterate(
     x: np.ndarray, config: DecompositionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationSnapshot], bool]:
@@ -194,22 +195,26 @@ def _iterate(
     graphs = config.beta > 0
 
     x_c, grid, weights = to_coefficients(x, config.mirror_extend)
-    root_weights = np.sqrt(weights)
-    blocks = row_blocks(n, x_c.shape[1])
-
-    # Without graphs the sweep updates the one mode buffer in place. With
-    # them it writes the next modes into a second buffer, because the
-    # change is measured after smoothing; the two swap roles every
-    # iteration.
-    g = np.zeros((k,) + x_c.shape)
-    spare = np.empty_like(g) if graphs else None
-    energy = np.zeros((k, n))  # per-(mode, node) energy of g
-    mode_power = np.empty((k, x_c.shape[1]))  # per-(mode, coefficient)
-    power = np.empty_like(x_c)
-    lam = np.zeros_like(x_c)
     omegas = _initial_omegas(
         config, x_c, grid, 2 * t if config.mirror_extend else t
     )
+    if graphs:
+        data, node_power = x_c, 1.0
+        power = np.empty_like(x_c)
+        root_weights = np.sqrt(weights)
+    else:
+        # g and lam hold the gains, one row against an input of ones; a sum
+        # over nodes weights each coefficient by node_power
+        data = np.ones((1, x_c.shape[1]))
+        node_power = np.einsum("np,np->p", x_c, x_c)
+    blocks = row_blocks(*data.shape)
+    # The sweep writes the next iterate into the spare buffer, and the
+    # change is formed in the previous one, which becomes the next spare.
+    g = np.zeros((k,) + data.shape)
+    spare = np.empty_like(g)
+    lam = np.zeros_like(data)
+    fit_weights = weights * node_power
+    energy = np.zeros(k)  # per-mode energy of g
     edge_w = np.zeros((k, n_edges(n)))
     zs = None
 
@@ -219,37 +224,22 @@ def _iterate(
     iteration = 0
     while iteration < config.max_iter:
         iteration += 1
-        prev, energy = energy, np.empty((k, n))
+        prev = energy
 
-        # (1) spectral sweep; without graphs it also makes steps (5) and
-        # (6) block by block
+        # (1) spectral sweep
         gains = [wiener_weights(grid, omega, config.alpha) for omega in omegas]
-        if graphs:
-            g_prev, g = g, spare
-            _sweep(g_prev, x_c, lam, gains, blocks, out=g)
-        else:
-            change, fit = _sweep(g, x_c, lam, gains, blocks, tau=config.tau,
-                                 weights=weights)
-
-        # (2) center frequencies from the fresh spectra; without graphs
-        # these are also the final modes, whose energies the next
-        # iteration's convergence test divides by
-        for mode in range(k):
-            np.square(g[mode], out=power)
-            if not graphs:
-                energy[mode] = power.sum(axis=1)
-                mode_power[mode] = power.sum(axis=0)
-            try:
-                omegas[mode] = mean_frequency(power, grid)
-            except DegenerateModeError:
-                pass  # collapsed mode keeps its previous center
+        g_prev, g = g, spare
+        _sweep(g_prev, data, lam, gains, blocks, out=g)
 
         graph_steps, graph_converged = (), ()
         if graphs:
+            # (2) center frequencies from the fresh spectra
+            _update_centers(
+                omegas, (np.square(mode, out=power) for mode in g), grid
+            )
             # (3) smooth along the previous graphs, all modes in one solve
             g = geodesic_update(g, edge_w, config.beta)
             squares = np.square(g)
-            energy = squares.sum(axis=2)
             mode_power = squares.sum(axis=1)
             del squares
             # (4) re-learn every mode's graph from its new distances
@@ -267,16 +257,21 @@ def _iterate(
             graphs_solved &= bool(solved.all())
             graph_steps = tuple(int(s) for s in steps)
             graph_converged = tuple(bool(c) for c in solved)
-            # (5) dual ascent on all rows at once
-            fit = _dual_step(g, x_c, lam, slice(None), config.tau, weights)
-            # (6) the per-(mode, node) change, formed in g_prev's buffer,
-            # the next sweep's output
-            diff = np.subtract(g, g_prev, out=g_prev)
-            change = np.sum(np.square(diff, out=diff), axis=2)
-            spare = g_prev
+        else:
+            # (2) center frequencies from the fresh spectra
+            mode_power = np.square(g[:, 0]) * node_power
+            _update_centers(omegas, mode_power, grid)
 
-        # convergence on the summed per-(mode, node) relative change
-        rel_change = float(np.sum(change / (prev + _EPS)))
+        # (5) dual ascent
+        fit = _dual_step(g, data, lam, config.tau, fit_weights)
+
+        # (6) per-mode change, formed in g_prev's buffer, and energy
+        diff = np.subtract(g, g_prev, out=g_prev)
+        change = (np.square(diff, out=diff).sum(axis=1) * node_power).sum(
+            axis=1)
+        energy = mode_power.sum(axis=1)
+        spare = g_prev
+        rel_change = _relative_change(change, prev)
 
         # tests/test_core.py checks the objective against a whole-state
         # reference by reading this frame's g, lam, omegas, x_c, grid,
@@ -298,6 +293,8 @@ def _iterate(
         if rel_change < config.epsilon:
             converged = True
             break
+    if not graphs:
+        g = np.multiply(g, x_c)  # the modes, formed once
     return g, omegas, edge_w, trace, converged and graphs_solved
 
 

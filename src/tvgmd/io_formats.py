@@ -70,20 +70,33 @@ def _atomic_write(path: Path, pieces: Iterable[str]) -> None:
         raise
 
 
-def format_matrix_csv(matrix: np.ndarray) -> Iterator[str]:
+def format_matrix_csv(
+    matrix: np.ndarray, first_column: np.ndarray | None = None
+) -> Iterator[str]:
     """The CSV text of ``matrix``, one line per row: each value as
-    ``%.17g``, one ``%`` per row. A matrix without rows gives one empty
-    line."""
-    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    ``%.17g``, one ``%`` per row, after row i's ``first_column[i]`` when
+    given. A matrix without rows gives one empty line."""
+    columns = matrix.shape[1] + (first_column is not None)
+    row_format = ",".join(["%.17g"] * columns) + "\n"
     if len(matrix) == 0:
         yield "\n"
-    for row in matrix:
-        yield row_format % tuple(row.tolist())
+    if first_column is None:
+        for row in matrix:
+            yield row_format % tuple(row.tolist())
+    else:
+        for value, row in zip(first_column.tolist(), matrix):
+            yield row_format % (value, *row.tolist())
 
 
-def write_matrix_csv(path: str | os.PathLike, matrix: np.ndarray) -> Path:
+def write_matrix_csv(
+    path: str | os.PathLike, matrix: np.ndarray,
+    first_column: np.ndarray | None = None,
+) -> Path:
+    """Write ``matrix`` as CSV (:func:`format_matrix_csv`); a float matrix
+    is not copied, even a strided view such as a transpose."""
     path = Path(path)
-    _atomic_write(path, format_matrix_csv(np.asarray(matrix, dtype=float)))
+    _atomic_write(path, format_matrix_csv(
+        np.asarray(matrix, dtype=float), first_column))
     return path
 
 

@@ -138,10 +138,11 @@ def bin_power(
     With mirroring each coefficient is one bin (T bins); without it the
     (re, im) pair of each rfft bin is summed (T//2 + 1 bins).
     """
-    power = np.square(coefficients)
     if mirror:
-        return power, grid
-    return power[..., 0::2] + power[..., 1::2], grid[::2]
+        return np.square(coefficients), grid
+    power = np.square(coefficients[..., 0::2])
+    power += np.square(coefficients[..., 1::2])
+    return power, grid[::2]
 
 
 def wiener_weights(

@@ -501,17 +501,19 @@ class TestInspectCommand:
                                rtol=1e-15, atol=0.0)
             assert np.abs(table[:, 1:] - expected).max() <= 1e-12 * expected.max()
 
-    @pytest.mark.parametrize("mirror,bound", [(True, 7.0), (False, 4.75)])
+    @pytest.mark.parametrize("mirror,bound", [(True, 6.4), (False, 4.2)])
     def test_plot_data_peak_holds_one_mode_at_a_time(self, tmp_path, mirror,
                                                      bound):
         # inspect analyses every mode before it writes anything, so it
         # holds K power spectra. Each mode's samples and coefficients are
-        # dropped once its power is formed, and the mirrored transform
-        # runs over row blocks: about 6.5 mode matrices at the peak with
-        # mirroring, reached as the first spectrum is written, and 4.2
-        # without (K = 4). Keeping a mode's samples and coefficients until
-        # the next mode is read, or a whole-array mirrored transform, goes
-        # past the bound.
+        # dropped once its power is formed, the mirrored transform runs
+        # over row blocks, and each spectrum is written from its power's
+        # own buffer: about 6.2 mode matrices at the peak with mirroring
+        # and 4.15 without (K = 4), both reached as the last mode is
+        # analysed. Keeping a mode's samples and coefficients until the
+        # next mode is read, a whole-array mirrored transform, or a copy
+        # of a spectrum for writing (6.45 with mirroring) goes past the
+        # bound; so does squaring a whole (re, im) array without it (4.22).
         n, t = 32, 4096
         signal = TimeVaryingGraphSignal(
             samples=np.random.default_rng(0).standard_normal((n, t)),

@@ -29,12 +29,9 @@ from tvgmd.graph_learner import graph_objective, learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
 from tvgmd.spectral import (
     mean_frequency,
-    row_blocks,
     to_coefficients,
     wiener_weights,
 )
-
-_EPS = np.finfo(float).eps
 
 
 def mirror_extend(series):
@@ -166,9 +163,13 @@ def reference_decompose(signal, config):
             g_hat = to_spectra(smoothed)
         if config.tau != 0.0:
             lam_hat = lam_hat + config.tau * (x_hat - g_hat.sum(axis=0))
-        diff = np.sum(np.abs(g_hat - g_prev) ** 2, axis=2)
-        prev = np.sum(np.abs(g_prev) ** 2, axis=2)
-        rel_change = float(np.sum(diff / (prev + _EPS)))
+        # per mode, norms over all nodes; a mode without previous energy
+        # counts 1 if it moved, 0 if it stayed at zero
+        diff = np.sum(np.abs(g_hat - g_prev) ** 2, axis=(1, 2))
+        prev = np.sum(np.abs(g_prev) ** 2, axis=(1, 2))
+        rel_change = sum(
+            d / p if p > 0 else float(d > 0) for d, p in zip(diff, prev)
+        )
         objective = _reference_objective(
             g_hat, lam_hat, omegas, x_hat, t, config, edge_w, zs
         )
@@ -217,7 +218,20 @@ def wide_signal():
     return TimeVaryingGraphSignal(samples=low + high, sample_rate_hz=600.0)
 
 
+def wide_exact_signal():
+    """64 nodes x 600 samples at 600 Hz: 10 Hz and 90 Hz on exact bins, the
+    low tone absent from every third node and the high tone from the node
+    after each of those."""
+    tt = np.arange(600) / 600.0
+    node = np.arange(64)[:, None]
+    low = (1.0 + 0.01 * node) * np.cos(2 * np.pi * 10 * tt + 0.1 * node)
+    high = (0.5 + 0.02 * node) * np.cos(2 * np.pi * 90 * tt - 0.05 * node)
+    samples = low * (node % 3 != 0) + high * (node % 3 != 1)
+    return TimeVaryingGraphSignal(samples=samples, sample_rate_hz=600.0)
+
+
 SIGNALS = {"two_tone": two_tone_signal, "odd_length": odd_length_signal}
+WIDE_SIGNALS = {"wide": wide_signal, "wide_exact": wide_exact_signal}
 GRID = list(
     itertools.product(
         SIGNALS,
@@ -231,10 +245,15 @@ GRID = list(
 
 @pytest.mark.parametrize("name,mirror,beta,tau,init", GRID)
 def test_matches_complex_reference_loop(name, mirror, beta, tau, init):
+    # Two loops whose modes agree to rounding differ by about 1e-16 /
+    # sqrt(rel_change) in rel_change, 2e-9 at 2e-14. With graphs the change
+    # can fall a hundredfold per iteration, from above the default
+    # tolerance to there, so the runs stop at 1e-10 instead.
     signal = SIGNALS[name]()
     config = DecompositionConfig(
         K=2, alpha=200.0, beta=beta, tau=tau, omega_init=init,
         mirror_extend=mirror, max_iter=20 if beta > 0 and tau > 0 else 500,
+        epsilon=1e-10,
     )
     ref = reference_decompose(signal, config)
     got = decompose(signal, config)
@@ -253,16 +272,13 @@ def test_matches_complex_reference_loop(name, mirror, beta, tau, init):
     assert trace == pytest.approx(ref["trace"], rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("name", WIDE_SIGNALS)
 @pytest.mark.parametrize("mirror", [True, False])
 @pytest.mark.parametrize("tau", [0.0, 0.1])
-def test_blocked_sweep_matches_reference_loop(mirror, tau):
-    # enough nodes that the sweep runs over several row blocks, the last
-    # one partial
-    signal = wide_signal()
-    n, t = signal.samples.shape
-    blocks = row_blocks(n, t if mirror else 2 * (t // 2 + 1))
-    assert len(blocks) >= 3
-    assert blocks[-1].stop > n
+def test_many_nodes_match_reference_loop(name, mirror, tau):
+    # the MVMD loop runs on gains all nodes share; on the exact-bin signal
+    # without mirroring, modes die out at some nodes to rounding noise
+    signal = WIDE_SIGNALS[name]()
     config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=tau,
                                  omega_init="peaks", mirror_extend=mirror)
     ref = reference_decompose(signal, config)

@@ -81,6 +81,15 @@ def traced_objectives(signal, config, monkeypatch):
     The loop keeps its state in local variables, so the snapshot class is
     wrapped to read them from the frame that builds each snapshot
     (``decomposer._iterate``, whose comment there names the locals read).
+    With ``beta = 0`` that state is per-coefficient gains: one row that
+    every node's coefficients are multiplied by. The formula then runs on
+    that row against an input of ones, each coefficient's weight times
+    ``sum_n x_c^2``, which sums the same terms as the modes ``g * x_c``
+    and duals ``lam * x_c`` would. Forming those modes and ``x_c - sum_k
+    g`` instead rounds each residual differently from the loop's ``1 -
+    sum_k g`` by about ``eps * |x_c|``: on the odd-length cells without
+    mirroring, whose objective falls to 2e-12, that alone moves it by up
+    to 3e-10 relative.
     """
     references = []
     snapshot = decomposer.IterationSnapshot
@@ -90,10 +99,13 @@ def traced_objectives(signal, config, monkeypatch):
         missing = {"g", "lam", "omegas", "x_c", "grid", "weights", "edge_w",
                    "zs"} - state.keys()
         assert not missing, f"loop state renamed; harness lacks {missing}"
+        x, weights = state["x_c"], state["weights"]
+        if config.beta == 0:
+            assert state["lam"].shape == (1, x.shape[1])
+            x, weights = np.ones((1, x.shape[1])), weights * np.sum(x**2, 0)
         references.append(objective_value(
-            state["g"], state["lam"], state["omegas"], state["x_c"],
-            state["grid"], state["weights"], config, state["edge_w"],
-            state["zs"],
+            state["g"], state["lam"], state["omegas"], x, state["grid"],
+            weights, config, state["edge_w"], state["zs"],
         ))
         return snapshot(**fields)
 

@@ -119,6 +119,18 @@ class TestSignalCsv:
             ) + "\n"
             assert "".join(format_matrix_csv(matrix)) == expected
 
+    def test_first_column_matches_stacked_matrix(self, tmp_path):
+        # a leading column and a transposed view are written as the stacked
+        # matrix would be, without stacking or copying
+        values = rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-9, 9, 9)
+        first = np.arange(9) * 0.3
+        stacked = np.column_stack([first, values.T])
+        assert "".join(format_matrix_csv(values.T, first)) == "".join(
+            format_matrix_csv(stacked))
+        path = write_matrix_csv(tmp_path / "m.csv", values.T,
+                                first_column=first)
+        assert np.array_equal(read_matrix_csv(path), stacked)
+
     def test_writing_does_not_hold_the_whole_text(self, tmp_path):
         # the text of a 32 x 8192 matrix is 6 MB; rows are streamed
         matrix = rng.standard_normal((32, 8192))
@@ -373,7 +385,7 @@ class TestWriteResult:
 
         original = io_formats.format_matrix_csv
 
-        def explode(matrix):  # fails after the first row was streamed
+        def explode(*args):  # fails after the first row was streamed
             yield "1,2,3\n"
             raise RuntimeError("disk on fire")
 
