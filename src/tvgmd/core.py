@@ -94,7 +94,7 @@ class DecompositionConfig:
     gamma: float = 1.0
     tau: float = 0.0
     epsilon: float = 1e-12
-    max_iter: int = 500
+    max_iter: int = 2000
     omega_init: str = "zeros"
     mirror_extend: bool = True
     normalize_distances: bool = False

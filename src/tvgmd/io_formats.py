@@ -22,6 +22,7 @@ one ``adjacency_k.json`` per mode when graphs were learned, and then
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -76,16 +77,16 @@ def format_matrix_csv(
     """The CSV text of ``matrix``, one line per row: each value as
     ``%.17g``, one ``%`` per row, after row i's ``first_column[i]`` when
     given. A matrix without rows gives one empty line."""
+    if first_column is None:
+        prefixes = itertools.repeat(())
+    else:
+        prefixes = ((value,) for value in first_column.tolist())
     columns = matrix.shape[1] + (first_column is not None)
     row_format = ",".join(["%.17g"] * columns) + "\n"
     if len(matrix) == 0:
         yield "\n"
-    if first_column is None:
-        for row in matrix:
-            yield row_format % tuple(row.tolist())
-    else:
-        for value, row in zip(first_column.tolist(), matrix):
-            yield row_format % (value, *row.tolist())
+    for prefix, row in zip(prefixes, matrix):
+        yield row_format % (*prefix, *row.tolist())
 
 
 def write_matrix_csv(

@@ -248,7 +248,9 @@ def test_matches_complex_reference_loop(name, mirror, beta, tau, init):
     # Two loops whose modes agree to rounding differ by about 1e-16 /
     # sqrt(rel_change) in rel_change, 2e-9 at 2e-14. With graphs the change
     # can fall a hundredfold per iteration, from above the default
-    # tolerance to there, so the runs stop at 1e-10 instead.
+    # tolerance to there, so the runs stop at 1e-10 instead: this grid does
+    # not cover the default tolerance. test_many_nodes_match_reference_loop
+    # runs the beta = 0 loop at it.
     signal = SIGNALS[name]()
     config = DecompositionConfig(
         K=2, alpha=200.0, beta=beta, tau=tau, omega_init=init,

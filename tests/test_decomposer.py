@@ -243,10 +243,9 @@ class TestGraphPath:
     def test_duals_with_graphs_still_reconstruct(self):
         # gentle dual steps coexist with graph smoothing; strong ones can
         # keep the iteration on a small limit cycle instead of converging
-        # (about 1,000 iterations at the default tolerance)
         signal = two_tone_signal()
         config = DecompositionConfig(
-            K=2, alpha=200.0, beta=0.5, gamma=1.0, tau=0.1, max_iter=1500
+            K=2, alpha=200.0, beta=0.5, gamma=1.0, tau=0.1
         )
         result = decompose(signal, config)
         assert result.converged
