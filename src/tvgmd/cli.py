@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--graph-epsilon", type=float,
                        default=defaults.graph_epsilon,
                        help="graph learner KKT residual tolerance, relative "
-                            "to max(1, largest weight) (default: %(default)s)")
+                            "to the largest weight (default: %(default)s)")
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
     p_dec.add_argument("--out", required=True, help="output directory")

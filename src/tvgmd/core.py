@@ -79,8 +79,8 @@ class DecompositionConfig:
     change over its previous energy with the norms taken over all nodes,
     falls below ``epsilon``, or after ``max_iter`` iterations, unconverged.
     ``graph_max_iter`` caps the Newton steps of each graph solve and
-    ``graph_epsilon`` is its KKT residual tolerance, relative to
-    ``max(1, largest weight)``; a run in which any graph solve misses it
+    ``graph_epsilon`` is its KKT residual tolerance, relative to the
+    largest learned weight; a run in which any graph solve misses it
     reports ``converged=False``. ``beta = 0`` is the multivariate mode
     decomposition baseline.
 

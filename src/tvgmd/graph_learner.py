@@ -10,13 +10,21 @@ problem is strictly convex, and the solver is a projected Newton method with
 an active set (Bertsekas, SIAM J. Control Optim. 1982): edges at or near
 zero whose gradient pushes them down take a diagonally scaled gradient step
 onto exact zeros, the free edges take a Newton step, and a projected Armijo
-line search keeps every degree positive. The free-edge Newton system
+line search keeps every degree positive. ``f`` is a convex quadratic plus a
+log barrier, so it is self-concordant, and the line search starts where
+the damped Newton method does (Boyd & Vandenberghe, Convex Optimization,
+9.6.4): at step length ``1/(1 + lambda)``, ``lambda`` the free-edge Newton
+decrement, while ``lambda`` exceeds ``(1 - 2*alpha)/4`` for the Armijo
+fraction ``alpha``, and at the full step below that; it halves from there.
+The free-edge Newton system
 ``(2*gamma*I + Q_F' diag(deg^-2) Q_F) p = -grad_F`` is solved in node space
 by the Woodbury identity: one N x N SPD solve plus O(M) work per step.
 Where ``gamma * deg^2`` drowns in rounding, that N x N matrix can be
 exactly singular; such a step falls back to the scaled gradient step on
-every edge. A solve stops on the KKT residual
-``||w - max(w - grad f(w), 0)||_inf``.
+every edge, whose line search starts at the full step. A solve stops
+once the KKT residual ``||w - max(w - grad f(w), 0)||_inf`` is at most
+``eps * max(w)``, a positive bound because the barrier keeps some weight
+positive.
 
 :func:`learn_graph_batch` is the one entry point. The problems of a batch
 run in lockstep: every sweep takes one Newton step on each unfinished row,
@@ -40,6 +48,8 @@ from .graph_ops import edge_degrees, edge_sums, node_matrices, nodes_from_edge_c
 _ARMIJO = 1e-4  # fraction of the predicted decrease a step must achieve
 _ROUNDING = 1e-13  # relative objective change below which f cannot judge a step
 _ACTIVE_CAP = 1e-3  # largest weight an edge may have and still be held at zero
+# Newton decrement below which the full step is the first trial (B&V 9.6.4)
+_DAMPED = (1.0 - 2.0 * _ARMIJO) / 4.0
 
 
 def _evaluate(v, lin, gamma, n):
@@ -99,13 +109,14 @@ def learn_graph_batch(
     started from its own warm start. Every sweep takes one Newton step on
     each unfinished row, solving their N x N systems in one batched call;
     each row has its own active set and line-search step length. A row
-    stops once its KKT residual is at most ``eps * max(1, max(w))``; a row
+    stops once its KKT residual is at most ``eps * max(w)``; a row
     that reaches ``max_iter`` Newton steps, or whose line search cannot
     move, stops as it stands. Finished rows leave the batch, and every row
     comes out bit-identical to a batch of that row alone.
 
     The start point changes the path, not the optimum; a warm start that
-    leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge.
+    leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge,
+    and one with a non-finite entry raises :class:`DegenerateInputError`.
     Edges whose optimum is zero come out as exact zeros. Where the change
     in ``f`` is below its rounding error, a step is accepted if it lowers
     the KKT residual.
@@ -125,6 +136,8 @@ def learn_graph_batch(
         raise DegenerateInputError("a graph needs at least one edge (N >= 2)")
     if not np.all(np.isfinite(zs)):
         raise DegenerateInputError("distance vector contains non-finite entries")
+    if not np.all(np.isfinite(w_inits)):
+        raise DegenerateInputError("warm start contains non-finite entries")
     if np.any(zs < 0):
         raise DegenerateInputError("distances must be nonnegative")
     if gamma <= 0:
@@ -148,7 +161,7 @@ def learn_graph_batch(
     # its step not counted; its trial is its w, so ``met`` stays False.
     stuck = np.zeros(n_prob, dtype=bool)
     for step in range(max_iter + 1):
-        met = res <= eps * np.maximum(1.0, w.max(axis=1))
+        met = res <= eps * w.max(axis=1)
         stop = met | stuck | (step == max_iter)
         if stop.any():
             out_w[live[stop]], iters[live[stop]] = w[stop], (step - stuck)[stop]
@@ -180,17 +193,19 @@ def learn_graph_batch(
         # A row whose system is singular, or whose y is not finite, keeps
         # the scaled gradient step on all its edges: a non-finite step
         # would halve the step length to 0, and 0 * inf = nan never passes.
-        if not np.isfinite(y).all():
-            newton = np.isfinite(y).all(axis=1)
+        newton = np.isfinite(y).all(axis=1)
+        if not newton.all():
             y[~newton] = 0.0
             free &= newton[:, None]
         p = np.where(free, (edge_sums(y, n) - g) / (2.0 * gamma), p)
         newton_decrease = -(g_free * p).sum(axis=1)
 
-        # Projected line search, each row halving its own step length. The
-        # whole batch is re-evaluated every round; a row that has stopped
-        # searching keeps its step length, so it recomputes its own trial.
-        a = np.ones(len(w))
+        # Projected line search, each row halving its own step length from
+        # the damped Newton step. The whole batch is re-evaluated every
+        # round; a row that has stopped searching keeps its step length, so
+        # it recomputes its own trial.
+        lam = np.sqrt(np.maximum(newton_decrease, 0.0))
+        a = np.where(newton & (lam > _DAMPED), 1.0 / (1.0 + lam), 1.0)
         searching = np.ones(len(w), dtype=bool)
         while True:
             trial = np.maximum(w + a[:, None] * p, 0.0)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tvgmd import graph_learner
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import _relative_change, _sweep, decompose
 from tvgmd.spectral import row_blocks
@@ -164,6 +165,23 @@ class TestStoppingRule:
 
 
 class TestGraphPath:
+    def test_clean_preset_learner_work(self, preset, monkeypatch):
+        # the damped Newton start spares most line-search halvings: 255
+        # objective evaluations where full first steps took 392
+        evaluations = []
+        evaluate = graph_learner._evaluate
+
+        def counted(*args):
+            evaluations.append(None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(graph_learner, "_evaluate", counted)
+        result = decompose(preset, DecompositionConfig(K=4, alpha=200.0))
+        solved = [ok for s in result.trace for ok in s.graph_converged]
+        assert result.iterations == 36 and len(solved) == 144
+        assert all(solved) and result.converged
+        assert len(evaluations) < 300
+
     def test_graph_learning_recovers_coactivity(self):
         config = DecompositionConfig(
             K=2, alpha=200.0, beta=0.1, gamma=1.0, tau=0.0

@@ -120,6 +120,31 @@ class TestInvariances:
         w_b = solve(z / 2, beta=1.6, gamma=1.2)
         assert w_a == pytest.approx(w_b, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        t=st.integers(min_value=8, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**31),
+        beta=st.floats(min_value=0.1, max_value=1.0),
+        gamma=st.floats(min_value=0.1, max_value=1.0),
+    )
+    def test_node_relabelling_relabels_the_graph(self, n, t, seed, beta, gamma):
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((n, t))
+        perm = r.permutation(n)
+        rows, cols = pairs(n)
+        # the distances of the relabelled nodes are the same numbers, so
+        # only the solver's path can tell the two problems apart
+        zs = np.stack([((x[rows] - x[cols]) ** 2).sum(axis=1),
+                       ((x[perm[rows]] - x[perm[cols]]) ** 2).sum(axis=1)])
+        w, _, converged = learn_graph_batch(zs, beta, gamma, np.zeros_like(zs))
+        assert converged.all()
+        dense = np.zeros((2, n, n))
+        dense[:, rows, cols] = w
+        dense += dense.transpose(0, 2, 1)
+        relabelled = dense[0][np.ix_(perm, perm)]
+        assert np.abs(dense[1] - relabelled).max() <= 1e-9 * w[0].max()
+
 
 class TestObjective:
     def test_zero_degree_is_infinite(self):
@@ -313,7 +338,7 @@ class TestSolverProperties:
         # or many steps, at the cap, or on a line search that can no longer
         # move w. One batch of one row of each kind: finished rows leave it
         # while the rest go on, which must not change any row.
-        cap = 60
+        cap = 12
 
         def solve_alone(z):
             return learn_graph_batch(
@@ -370,6 +395,12 @@ class TestErrorsAndWarnings:
             learn_graph_batch(
                 np.array([[np.inf, 1.0, 1.0]]), 1.0, 1.0, np.zeros((1, 3))
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        w_init = np.array([[1.0, bad, 1.0]])
+        with pytest.raises(DegenerateInputError, match="warm start"):
+            learn_graph_batch(np.ones((1, 3)), 1.0, 1.0, w_init)
 
     def test_cap_reports_not_converged(self):
         z = rng.random((1, n_edges(4)))
