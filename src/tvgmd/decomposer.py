@@ -19,7 +19,12 @@ coefficients, drops below the tolerance: the rule of VMD (Dragomiretskiy
 run counts as converged only if, in addition, every graph solve in it met
 its own tolerance. Each trace snapshot records every mode's Newton step
 count and convergence flag, and the augmented-Lagrangian objective, which
-is assembled from reductions the loop forms anyway.
+is assembled from reductions the loop forms anyway: the spectral terms
+from each mode's power and the dual step's residual, and each graph term
+from the objective the learner ends that mode's solve with. All K modes'
+gains come from one :func:`~tvgmd.spectral.wiener_weights` call. With
+``tau = 0`` the duals stay zero, so the loop holds no dual array and
+neither the sweep nor the dual step carries a dual term.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline. Every step is
@@ -39,16 +44,18 @@ gives the same values as one sweep over whole arrays.
 Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers, which
 alternate between the previous and the next iterate, since the sweep
 writes the next modes into one and the change is formed in the other
-after smoothing; smoothing and the distances each make one more. It also
-keeps three ``(N, P)`` arrays: the input coefficients, the duals and the
-buffer that step (2) squares each mode into. Without graphs the loop
-holds the input coefficients and a few (K, P) arrays. Each iteration's
-per-mode energies serve as the next iteration's denominators, so no
-iterate is copied or squared twice. When the loop ends all of it but the
-final modes' buffer is released. Each mode goes back to the time domain
-one row block at a time, into the first T of its own P >= T columns, and
-the result's modes share that buffer read-only; only the residual is a
-new ``(N, T)`` array. Without graphs the traced peak is about 1.44
+after smoothing; smoothing makes one more, and leaves the buffer the
+sweep wrote free for the squared modes and then the distances' weighted
+modes, so no other (K, N, P) array is allocated per iteration. It also
+keeps two ``(N, P)`` arrays, the input coefficients and the buffer that
+step (2) squares each mode into, and a third for the duals when ``tau >
+0``. Without graphs the loop holds the input coefficients and a few (K, P)
+arrays. Each iteration's per-mode energies serve as the next iteration's
+denominators, so no iterate is copied or squared twice. When the loop
+ends all of it but the final modes' buffer is released. Each mode goes
+back to the time domain one row block at a time, into the first T of its
+own P >= T columns, and the result's modes share that buffer read-only;
+only the residual is a new ``(N, T)`` array. Without graphs the traced peak is about 1.44
 buffers at K = 4, reached as the modes are formed: their buffer, the
 input coefficients and the loop's (K, P) arrays.
 """
@@ -69,7 +76,7 @@ from .errors import (
     DegenerateModeError,
     NonFiniteInputError,
 )
-from .graph_learner import graph_objective, learn_graph_batch
+from .graph_learner import learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
     bin_power,
@@ -104,19 +111,21 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
 def _sweep(g, x, lam, gains, blocks, out):
     """Step (1): the next modes from ``g`` into ``out``, one block of rows
     of the input ``x`` at a time; within a block in order over k, so later
-    modes see the earlier modes' fresh spectra. Every temporary is
-    block-sized.
+    modes see the earlier modes' fresh spectra. ``gains`` holds one row per
+    mode, and ``lam`` is ``None`` when the duals are zero. Every temporary
+    is block-sized.
     """
     for rows in blocks:
         old = g[:, rows]
         running_sum = old.sum(axis=0)
-        half_lam = lam[rows] / 2.0
+        half_lam = None if lam is None else lam[rows] / 2.0
         work = np.empty_like(running_sum)
         for mode, gain in enumerate(gains):
             # numerator x - (running_sum - old) + lam / 2, formed in work
             np.subtract(running_sum, old[mode], out=work)
             np.subtract(x[rows], work, out=work)
-            work += half_lam
+            if half_lam is not None:
+                work += half_lam
             new = np.multiply(work, gain, out=out[mode, rows])
             running_sum += np.subtract(new, old[mode], out=work)
 
@@ -124,12 +133,16 @@ def _sweep(g, x, lam, gains, blocks, out):
 def _dual_step(g, x, lam, tau, weights) -> float:
     """Dual ascent ``lam += tau * resid`` with the residual ``resid = x -
     sum_k g``; returns the objective's reconstruction and dual term
-    ``sum(weights * resid * (resid + lam))`` at the new duals."""
+    ``sum(weights * resid * (resid + lam))`` at the new duals. ``lam`` is
+    ``None`` when ``tau = 0``: the duals stay zero and only the
+    reconstruction term remains."""
     resid = np.subtract(x, g.sum(axis=0))
-    if tau != 0.0:
+    if lam is None:
+        fit = np.square(resid, out=resid)
+    else:
         lam += tau * resid
-    fit = resid + lam
-    fit *= resid
+        fit = resid + lam
+        fit *= resid
     fit *= weights
     return float(np.sum(fit))
 
@@ -144,8 +157,8 @@ def _relative_change(change, prev) -> float:
     return float(ratios.sum())
 
 
-def _objective(config, omegas, grid, weights, mode_power, fit, edge_w,
-               zs) -> float:
+def _objective(config, omegas, grid, weights, mode_power, fit,
+               graph_f) -> float:
     """Augmented-Lagrangian value of the loop's state.
 
     ``mode_power`` (K, P) holds each mode's squared coefficients summed
@@ -156,17 +169,15 @@ def _objective(config, omegas, grid, weights, mode_power, fit, edge_w,
     plus the reconstruction quadratic and the dual inner product, each
     coefficient weighted by its energy weight, so the reconstruction term
     equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2``. When
-    ``beta > 0`` the graph part adds ``2*beta*w'z + gamma*||w||^2 -
-    1'log(Qw)`` per mode, with any nonpositive degree mapped to +inf.
-    Monitoring only; the loop never branches on this value.
+    ``beta > 0`` the graph part adds each mode's ``2*beta*w'z +
+    gamma*||w||^2 - 1'log(Qw)``, held in ``graph_f`` as the learner left
+    it. Monitoring only; the loop never branches on this value.
     """
     sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
     bandwidth = float(np.sum(mode_power * sq * weights))
     value = 2.0 * config.alpha * bandwidth + fit
     if config.beta > 0:
-        value += float(
-            graph_objective(edge_w, zs, config.beta, config.gamma).sum()
-        )
+        value += float(graph_f.sum())
     return value
 
 
@@ -212,10 +223,12 @@ def _iterate(
     # change is formed in the previous one, which becomes the next spare.
     g = np.zeros((k,) + data.shape)
     spare = np.empty_like(g)
-    lam = np.zeros_like(data)
+    # with tau = 0 the duals stay zero and no step carries them
+    lam = np.zeros_like(data) if config.tau != 0.0 else None
     fit_weights = weights * node_power
     energy = np.zeros(k)  # per-mode energy of g
     edge_w = np.zeros((k, n_edges(n)))
+    graph_f = np.zeros(k)  # each graph's objective, as the learner left it
     zs = None
 
     trace: list[IterationSnapshot] = []
@@ -227,7 +240,7 @@ def _iterate(
         prev = energy
 
         # (1) spectral sweep
-        gains = [wiener_weights(grid, omega, config.alpha) for omega in omegas]
+        gains = wiener_weights(grid, omegas[:, None], config.alpha)
         g_prev, g = g, spare
         _sweep(g_prev, data, lam, gains, blocks, out=g)
 
@@ -237,14 +250,15 @@ def _iterate(
             _update_centers(
                 omegas, (np.square(mode, out=power) for mode in g), grid
             )
-            # (3) smooth along the previous graphs, all modes in one solve
+            # (3) smooth along the previous graphs, all modes in one solve;
+            # the sweep's buffer is free from here on, and takes the
+            # squares and then the weighted modes
             g = geodesic_update(g, edge_w, config.beta)
-            squares = np.square(g)
-            mode_power = squares.sum(axis=1)
-            del squares
+            mode_power = np.square(g, out=spare).sum(axis=1)
             # (4) re-learn every mode's graph from its new distances
             zs = pairwise_distances(
-                g * root_weights, normalize=config.normalize_distances
+                np.multiply(g, root_weights, out=spare),
+                normalize=config.normalize_distances,
             )
             edge_w, steps, solved = learn_graph_batch(
                 zs,
@@ -253,6 +267,7 @@ def _iterate(
                 edge_w,
                 max_iter=config.graph_max_iter,
                 eps=config.graph_epsilon,
+                objective=graph_f,
             )
             graphs_solved &= bool(solved.all())
             graph_steps = tuple(int(s) for s in steps)
@@ -274,17 +289,16 @@ def _iterate(
         rel_change = _relative_change(change, prev)
 
         # tests/test_core.py checks the objective against a whole-state
-        # reference by reading this frame's g, lam, omegas, x_c, grid,
-        # weights, edge_w and zs when the snapshot is built; keep those
-        # names, or change that harness with them.
+        # reference by reading this frame's g, lam (None when tau = 0),
+        # omegas, x_c, grid, weights, edge_w and zs when the snapshot is
+        # built; keep those names, or change that harness with them.
         trace.append(
             IterationSnapshot(
                 iteration=iteration,
                 rel_change=rel_change,
                 omegas=tuple(float(o) for o in omegas),
                 objective=_objective(
-                    config, omegas, grid, weights, mode_power, fit, edge_w,
-                    zs,
+                    config, omegas, grid, weights, mode_power, fit, graph_f
                 ),
                 graph_steps=graph_steps,
                 graph_converged=graph_converged,

@@ -102,6 +102,7 @@ def learn_graph_batch(
     w_inits: np.ndarray,
     max_iter: int = 2000,
     eps: float = 1e-5,
+    objective: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a batch of independent problems, one per row, in lockstep.
 
@@ -120,6 +121,13 @@ def learn_graph_batch(
     Edges whose optimum is zero come out as exact zeros. Where the change
     in ``f`` is below its rounding error, a step is accepted if it lowers
     the KKT residual.
+
+    When ``objective``, an array with one entry per row, is given, each
+    row's final ``f`` is written into it: the value the solver holds for
+    the returned weights, so no caller needs :func:`graph_objective` again.
+    It equals ``graph_objective(weights, zs, beta, gamma)`` exactly for a
+    C-ordered ``zs``; for another layout each row's ``2*beta*w'z`` may be
+    summed in a different order, a difference of rounding size.
 
     Returns
     -------
@@ -154,9 +162,11 @@ def learn_graph_batch(
     live = np.arange(n_prob)  # batch row of each unfinished problem
     lin = 2.0 * beta * zs
     w = np.maximum(w_inits, 0.0)
-    isolated = edge_degrees(w, n).min(axis=1) <= 0.0
-    w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
     f, deg, g, res = _evaluate(w, lin, gamma, n)
+    isolated = deg.min(axis=1) <= 0.0
+    if isolated.any():
+        w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
+        f, deg, g, res = _evaluate(w, lin, gamma, n)
     # A row whose line search cannot move stops at the next sweep's top,
     # its step not counted; its trial is its w, so ``met`` stays False.
     stuck = np.zeros(n_prob, dtype=bool)
@@ -166,6 +176,8 @@ def learn_graph_batch(
         if stop.any():
             out_w[live[stop]], iters[live[stop]] = w[stop], (step - stuck)[stop]
             done[live[stop]] = met[stop]
+            if objective is not None:
+                objective[live[stop]] = f[stop]
             if stop.all():
                 break
             keep = ~stop

@@ -107,6 +107,47 @@ def write_signal_csv(
     return write_matrix_csv(path, signal.samples)
 
 
+def _parse_rows(handle, name: str, header: bool) -> Iterator[np.ndarray]:
+    """Yield each data row of an open CSV as a float array; see
+    :func:`read_matrix_csv` for the format and the errors."""
+    width: int | None = None
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SignalParseError(
+                    f"{name}, line {lineno}: not valid UTF-8"
+                ) from None
+        if header and lineno == 1:
+            continue
+        if line == "":
+            continue
+        cells = line.split(",")
+        if header:
+            cells = cells[1:]
+        try:
+            parsed = np.array(cells, dtype=float)
+        except ValueError:
+            for cell in cells:  # name the first cell float() rejects
+                try:
+                    float(cell)
+                except ValueError:
+                    raise SignalParseError(
+                        f"{name}, line {lineno}: non-numeric cell {cell!r}"
+                    ) from None
+            raise
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise SignalParseError(
+                f"{name}, line {lineno}: expected {width} columns, "
+                f"got {len(cells)}"
+            )
+        yield parsed
+
+
 def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray:
     """Parse a node-per-row CSV into a float matrix.
 
@@ -118,52 +159,22 @@ def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray
     rows remain.
     """
     path = Path(path)
-    rows: list[np.ndarray] = []
-    width: int | None = None
     # surrogateescape splits lines exactly as strict decoding does, and
     # turns each undecodable byte into a lone surrogate that only the line
     # holding it fails to encode back.
     with open(
         path, "r", encoding="utf-8", newline="", errors="surrogateescape"
     ) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise SignalParseError(
-                        f"{path.name}, line {lineno}: not valid UTF-8"
-                    ) from None
-            if header and lineno == 1:
-                continue
-            if line == "":
-                continue
-            cells = line.split(",")
-            if header:
-                cells = cells[1:]
-            try:
-                parsed = np.array(cells, dtype=float)
-            except ValueError:
-                for cell in cells:  # name the first cell float() rejects
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise SignalParseError(
-                            f"{path.name}, line {lineno}: non-numeric cell {cell!r}"
-                        ) from None
-                raise
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise SignalParseError(
-                    f"{path.name}, line {lineno}: expected {width} columns, "
-                    f"got {len(cells)}"
-                )
-            rows.append(parsed)
+        rows = list(_parse_rows(handle, path.name, header))
     if not rows:
         raise EmptyFileError(f"{path.name}: no data rows")
-    return np.array(rows)
+    # The last line's text went with the parser's frame, and each row is
+    # dropped once copied, so no more than the rows and the matrix are
+    # ever held.
+    matrix = np.empty((len(rows), rows[0].size))
+    for i in range(len(rows)):
+        matrix[i], rows[i] = rows[i], None
+    return matrix
 
 
 def read_signal_csv(

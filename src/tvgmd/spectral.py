@@ -146,13 +146,16 @@ def bin_power(
 
 
 def wiener_weights(
-    omega_grid: np.ndarray, omega_k: float, alpha: float
+    omega_grid: np.ndarray, omega_k: float | np.ndarray, alpha: float
 ) -> np.ndarray:
     """Per-bin gain ``1 / (1 + 2*alpha*(omega - omega_k)^2)``.
 
     Times the numerator ``x_hat - (sum of the other modes) + lambda_hat/2``
     it is one mode's update: per bin, the minimizer of
-    ``2*alpha*(omega - omega_k)^2 |g|^2 + |num - g|^2``.
+    ``2*alpha*(omega - omega_k)^2 |g|^2 + |num - g|^2``. The centers
+    broadcast against the grid, so a column of K centers,
+    ``omegas[:, None]``, gives a (K, P) array with one row of gains per
+    center, each row equal to that center's own call.
     """
     return 1.0 / (1.0 + 2.0 * alpha * (omega_grid - omega_k) ** 2)
 

@@ -501,19 +501,22 @@ class TestInspectCommand:
                                rtol=1e-15, atol=0.0)
             assert np.abs(table[:, 1:] - expected).max() <= 1e-12 * expected.max()
 
-    @pytest.mark.parametrize("mirror,bound", [(True, 6.4), (False, 4.2)])
+    @pytest.mark.parametrize("mirror,bound", [(True, 6.25), (False, 3.85)])
     def test_plot_data_peak_holds_one_mode_at_a_time(self, tmp_path, mirror,
                                                      bound):
         # inspect analyses every mode before it writes anything, so it
         # holds K power spectra. Each mode's samples and coefficients are
         # dropped once its power is formed, the mirrored transform runs
-        # over row blocks, and each spectrum is written from its power's
-        # own buffer: about 6.2 mode matrices at the peak with mirroring
-        # and 4.15 without (K = 4), both reached as the last mode is
-        # analysed. Keeping a mode's samples and coefficients until the
-        # next mode is read, a whole-array mirrored transform, or a copy
-        # of a spectrum for writing (6.45 with mirroring) goes past the
-        # bound; so does squaring a whole (re, im) array without it (4.22).
+        # over row blocks, each spectrum is written from its power's own
+        # buffer, and a mode is read into one matrix after the parser's
+        # text is gone: about 6.17 mode matrices at the peak with
+        # mirroring and 3.76 without (K = 4), both reached as the last
+        # mode's coefficients are formed. Keeping a mode's samples and
+        # coefficients until the next mode is read, a whole-array mirrored
+        # transform, or a copy of a spectrum for writing (6.45 with
+        # mirroring) goes past the bound; so does squaring a whole (re, im)
+        # array without it (4.22), or stacking the parsed rows while the
+        # last line's text is alive (4.15).
         n, t = 32, 4096
         signal = TimeVaryingGraphSignal(
             samples=np.random.default_rng(0).standard_normal((n, t)),

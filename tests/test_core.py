@@ -108,6 +108,8 @@ def traced_objectives(signal, config, monkeypatch):
         assert not missing, f"loop state renamed; harness lacks {missing}"
         g, lam, x, weights = (state[name]
                               for name in ("g", "lam", "x_c", "weights"))
+        if lam is None:  # tau = 0: the loop carries no duals
+            lam = np.zeros_like(g[0])
         states = [(g, lam, x, weights)]
         if config.beta == 0:
             assert lam.shape == (1, x.shape[1])

@@ -6,7 +6,7 @@ import pytest
 
 from tvgmd import graph_learner
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
-from tvgmd.decomposer import _relative_change, _sweep, decompose
+from tvgmd.decomposer import _dual_step, _relative_change, _sweep, decompose
 from tvgmd.spectral import row_blocks
 from tvgmd.synth import generate, paper_preset
 from test_graph_ops import node_pairs
@@ -166,8 +166,12 @@ class TestStoppingRule:
 
 class TestGraphPath:
     def test_clean_preset_learner_work(self, preset, monkeypatch):
-        # the damped Newton start spares most line-search halvings: 255
-        # objective evaluations where full first steps took 392
+        # the damped Newton start spares most line-search halvings (full
+        # first steps took 392 objective evaluations), and the trace reads
+        # each graph's objective off its solve instead of evaluating it
+        # again (255 before): about 220, one more than the solves' own
+        # because the cold start's isolated nodes are shifted and the
+        # batch evaluated again
         evaluations = []
         evaluate = graph_learner._evaluate
 
@@ -180,7 +184,7 @@ class TestGraphPath:
         solved = [ok for s in result.trace for ok in s.graph_converged]
         assert result.iterations == 36 and len(solved) == 144
         assert all(solved) and result.converged
-        assert len(evaluations) < 300
+        assert len(evaluations) <= 225
 
     def test_graph_learning_recovers_coactivity(self):
         config = DecompositionConfig(
@@ -407,6 +411,27 @@ class TestSweep:
         assert np.abs(out_gains * x_c - out).max() <= (
             1e-14 * np.abs(x_c).max())
 
+    def test_no_duals_match_zero_duals(self):
+        # with tau = 0 the loop carries no dual array; the sweep and the
+        # dual step without one must give what a zero array gives, bit for
+        # bit
+        rng = np.random.default_rng(4)
+        k, n, p = 3, 64, 600
+        blocks = row_blocks(n, p)
+        g = rng.standard_normal((k, n, p))
+        x_c = rng.standard_normal((n, p))
+        wiener = rng.random((k, p))
+        zeros = np.zeros((n, p))
+        with_zeros, without = np.empty((2, k, n, p))
+        _sweep(g, x_c, zeros, wiener, blocks, with_zeros)
+        _sweep(g, x_c, None, wiener, blocks, without)
+        assert with_zeros.tobytes() == without.tobytes()
+        weights = rng.random(p)
+        fit_zeros = _dual_step(without, x_c, zeros, 0.0, weights)
+        fit = _dual_step(without, x_c, None, 0.0, weights)
+        assert np.array(fit_zeros).tobytes() == np.array(fit).tobytes()
+        assert not zeros.any()
+
 
 def traced_peak_in_mode_buffers(n, t, k, **options):
     """tracemalloc peak of ``decompose`` on an n x t noise signal, in units
@@ -443,11 +468,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("mirror", [True, False])
     def test_graph_peak_frees_squares_before_distances(self, mirror):
-        # With graphs an iteration also holds the smoothed modes, and the
-        # distances scale them in one more (K, N, P) temporary: about 5.0
-        # buffers at the peak. Keeping the energies' squares alive into
-        # that step adds a whole buffer.
+        # With graphs an iteration also holds the smoothed modes; the
+        # energies' squares and the distances' weighted modes both go into
+        # the buffer the sweep wrote, which smoothing leaves free: about
+        # 4.1 buffers at the peak. A fresh (K, N, P) temporary for either
+        # reaches about 5.0, and keeping the squares alive into the
+        # distances adds one more.
         peak = traced_peak_in_mode_buffers(32, 4096, 4, beta=0.1,
                                            graph_max_iter=5,
                                            mirror_extend=mirror)
-        assert peak <= 5.75
+        assert peak <= 4.5

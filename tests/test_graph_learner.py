@@ -93,6 +93,41 @@ def solve(z, beta=1.0, gamma=1.0, eps=1e-10, max_iter=100_000):
     return w[0]
 
 
+STOP_CAP = 12
+
+
+def stop_kind_rows():
+    """Four cold-start problems on 4 nodes that stop in every way the
+    solver has at eps=1e-16 and cap :data:`STOP_CAP`, each after a
+    different number of steps: converged after few and after many steps,
+    at the cap, and on a line search that can no longer move w. At that
+    eps the KKT test sits at the rounding floor of f. Returns the
+    (steps, seed) picks and the distance rows, a C-ordered stack."""
+    by_kind = {"converged": [], "capped": [], "stalled": []}
+    for seed in range(100):
+        z = np.random.default_rng(seed).random(n_edges(4)) * 3
+        _, iters, conv = learn_graph_batch(
+            z[None], 1.0, 1.0, np.zeros((1, z.size)), max_iter=STOP_CAP,
+            eps=1e-16,
+        )
+        kind = ("converged" if conv[0]
+                else "capped" if iters[0] == STOP_CAP else "stalled")
+        by_kind[kind].append((int(iters[0]), seed))
+    converged = sorted(by_kind["converged"])
+    early, late = converged[0], converged[-1]
+    stalled = next(
+        pick for pick in by_kind["stalled"]
+        if pick[0] not in (early[0], late[0])
+    )
+    picks = [early, late, by_kind["capped"][0], stalled]
+    assert len({steps for steps, _ in picks}) == 4
+    zs = np.stack(
+        [np.random.default_rng(seed).random(n_edges(4)) * 3
+         for _, seed in picks]
+    )
+    return picks, zs
+
+
 class TestClosedForms:
     def test_single_edge_zero_distance(self):
         assert solve([0.0]) == pytest.approx([1.0], abs=1e-8)
@@ -333,40 +368,18 @@ class TestSolverProperties:
         assert w.shape == zs.shape and iters.shape == conv.shape == (0,)
 
     def test_lockstep_rows_that_stop_differently_match_single_runs(self):
-        # At eps=1e-16 the KKT test sits at the rounding floor of f, so
-        # cold starts stop in every way the solver has: converged after few
-        # or many steps, at the cap, or on a line search that can no longer
-        # move w. One batch of one row of each kind: finished rows leave it
+        # One batch of one row of each stop kind: finished rows leave it
         # while the rest go on, which must not change any row.
-        cap = 12
+        picks, zs = stop_kind_rows()
 
         def solve_alone(z):
             return learn_graph_batch(
-                z[None], 1.0, 1.0, np.zeros((1, z.size)), max_iter=cap,
+                z[None], 1.0, 1.0, np.zeros((1, z.size)), max_iter=STOP_CAP,
                 eps=1e-16,
             )
 
-        by_kind = {"converged": [], "capped": [], "stalled": []}
-        for seed in range(100):
-            z = np.random.default_rng(seed).random(n_edges(4)) * 3
-            _, iters, conv = solve_alone(z)
-            kind = ("converged" if conv[0]
-                    else "capped" if iters[0] == cap else "stalled")
-            by_kind[kind].append((int(iters[0]), seed))
-        converged = sorted(by_kind["converged"])
-        early, late = converged[0], converged[-1]
-        stalled = next(
-            pick for pick in by_kind["stalled"]
-            if pick[0] not in (early[0], late[0])
-        )
-        picks = [early, late, by_kind["capped"][0], stalled]
-        assert len({steps for steps, _ in picks}) == 4
-        zs = np.stack(
-            [np.random.default_rng(seed).random(n_edges(4)) * 3
-             for _, seed in picks]
-        )
         batch, iters_b, conv_b = learn_graph_batch(
-            zs, 1.0, 1.0, np.zeros_like(zs), max_iter=cap, eps=1e-16
+            zs, 1.0, 1.0, np.zeros_like(zs), max_iter=STOP_CAP, eps=1e-16
         )
         for row in range(4):
             single, iters_s, conv_s = solve_alone(zs[row])
@@ -383,6 +396,46 @@ class TestSolverProperties:
                 max_iter=steps, eps=1e-16,
             )
             assert np.array_equal(capped_w[0], batch[3]) == same
+
+    def test_objective_output_is_the_final_objective(self):
+        # the objective each row stops with is f at its returned weights:
+        # a row that stops at step 0 on its own optimum, then one of each
+        # stop kind past it (converged, converged late, capped, stalled)
+        picks, zs = stop_kind_rows()
+        w_inits = np.zeros_like(zs)
+        w_opt, _, _ = learn_graph_batch(
+            zs[:1], 1.0, 1.0, w_inits[:1], max_iter=STOP_CAP, eps=1e-16
+        )
+        zs = np.concatenate([zs[:1], zs])
+        w_inits = np.concatenate([w_opt, w_inits])
+        values = np.full(len(zs), np.nan)
+        w, iters, conv = learn_graph_batch(
+            zs, 1.0, 1.0, w_inits, max_iter=STOP_CAP, eps=1e-16,
+            objective=values,
+        )
+        assert list(iters) == [0] + [steps for steps, _ in picks]
+        assert list(conv) == [True, True, True, False, False]
+        assert zs.flags.c_contiguous
+        for row in range(len(zs)):
+            assert values[row] == graph_objective(w[row], zs[row], 1.0, 1.0)
+
+    def test_isolated_warm_start_beside_a_valid_one(self):
+        # an all-zero warm start is shifted off zero degree and evaluated
+        # again, with the whole batch; the valid row beside it must come
+        # out as it does alone, and so must the shifted one
+        zs = np.stack([rng.random(n_edges(5)) * 3 for _ in range(2)])
+        w_inits = np.stack([np.zeros(n_edges(5)), rng.random(n_edges(5))])
+        values = np.empty(2)
+        batch = learn_graph_batch(zs, 0.7, 1.1, w_inits, eps=1e-8,
+                                  objective=values)
+        for row in range(2):
+            value = np.empty(1)
+            single = learn_graph_batch(zs[row:row + 1], 0.7, 1.1,
+                                       w_inits[row:row + 1], eps=1e-8,
+                                       objective=value)
+            for out_b, out_s in zip(batch, single):
+                assert out_b[row].tobytes() == out_s[0].tobytes()
+            assert values[row].tobytes() == value[0].tobytes()
 
 
 class TestErrorsAndWarnings:

@@ -170,6 +170,16 @@ class TestModeUpdate:
         gains = wiener_weights(grid, omega_k, alpha)
         assert gains[target_bin] == pytest.approx(1.0 / 3.0)
 
+    def test_column_of_centers_gives_one_row_each(self):
+        # the loop forms all K modes' gains in one call; each row must be
+        # that center's own call, bit for bit
+        grid = frequency_grid(64)
+        omegas = np.array([0.02, 0.13, 0.13, 0.41])
+        gains = wiener_weights(grid, omegas[:, None], 200.0)
+        assert gains.shape == (4, grid.size)
+        for row, omega in zip(gains, omegas):
+            assert row.tobytes() == wiener_weights(grid, omega, 200.0).tobytes()
+
     def test_zero_numerator_gives_zero(self):
         spec = random_spectrum(17, seed=9)
         numerator = spec - spec  # x_hat equal to the other modes, no dual
