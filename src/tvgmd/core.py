@@ -78,11 +78,14 @@ class DecompositionConfig:
     stops when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``, each mode's squared
     change over its previous energy with the norms taken over all nodes,
     falls below ``epsilon``, or after ``max_iter`` iterations, unconverged.
-    ``graph_max_iter`` caps the Newton steps of each graph solve and
-    ``graph_epsilon`` is its KKT residual tolerance, relative to the
-    largest learned weight; a run in which any graph solve misses it
-    reports ``converged=False``. ``beta = 0`` is the multivariate mode
-    decomposition baseline.
+    ``graph_max_iter`` caps the Newton steps of each graph solve.
+    ``graph_epsilon`` is the KKT residual tolerance, relative to the
+    largest learned weight, of the final graphs: earlier solves are held
+    to the loop's relative step, ``sqrt`` of the previous iteration's
+    change clipped to ``[graph_epsilon, 0.1]``, and a run ends only on an
+    iteration whose solves were held to ``graph_epsilon``. A run in which
+    any graph solve misses its tolerance reports ``converged=False``.
+    ``beta = 0`` is the multivariate mode decomposition baseline.
 
     A config checks itself when built: every float field must be finite,
     and any value outside its range raises :class:`BadParameterError`.
@@ -169,7 +172,9 @@ class IterationSnapshot:
     ``omegas``, ``graph_steps`` and ``graph_converged`` are in the loop's
     mode order. ``graph_steps`` holds the Newton steps each mode's graph
     solve took and ``graph_converged`` whether it met its tolerance; both
-    are empty when graph learning is off.
+    are empty when graph learning is off. ``graph_tolerance`` is the KKT
+    tolerance the iteration's graph solves were held to, ``None`` when
+    graph learning is off.
     """
 
     iteration: int
@@ -178,6 +183,7 @@ class IterationSnapshot:
     objective: float
     graph_steps: tuple[int, ...] = ()
     graph_converged: tuple[bool, ...] = ()
+    graph_tolerance: float | None = None
 
 
 @dataclass(frozen=True)

@@ -257,9 +257,11 @@ def write_result(
     ``sample_rate_hz`` and ``input_sha256`` pin the run together with the
     input file, and ``timing_ms`` is its wall time. Each trace entry
     carries ``iteration``, ``rel_change``, ``omegas``, ``objective`` (null
-    when infinite) and the per-mode ``graph_steps`` and
-    ``graph_converged`` of that iteration's graph solves (empty lists
-    when graph learning was off).
+    when infinite), the per-mode ``graph_steps`` and ``graph_converged``
+    of that iteration's graph solves (empty lists when graph learning was
+    off) and ``graph_tolerance``, the KKT tolerance those solves were held
+    to (null when graph learning was off); a converged run's last entry
+    holds ``config.graph_epsilon``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,6 +296,7 @@ def write_result(
                 "objective": s.objective if math.isfinite(s.objective) else None,
                 "graph_steps": list(s.graph_steps),
                 "graph_converged": list(s.graph_converged),
+                "graph_tolerance": s.graph_tolerance,
             }
             for s in result.trace
         ],

@@ -182,6 +182,27 @@ class TestPairwiseDistances:
             assert np.abs(stacked[mode] - single).max() <= 1e-12
 
 
+    @pytest.mark.parametrize("fill", [np.zeros, rng.standard_normal])
+    @pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_rejected(self, fill, shape, bad):
+        # beside zeros the bad entry also meets 0 * inf in the Gram product
+        U = fill(shape)
+        U.flat[U.size // 2 + 1] = bad
+        with pytest.raises(NonFiniteInputError,
+                           match="mode matrix contains non-finite entries"):
+            pairwise_distances(U)
+
+    def test_finite_squares_that_overflow_are_not_rejected(self):
+        # finite input is no input error even when its squares overflow:
+        # those distances come out infinite, with numpy's overflow warning
+        U = np.zeros((3, 4))
+        U[0, 0], U[1, 1] = 1e200, 1.0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            z = pairwise_distances(U)
+        assert np.array_equal(z, [np.inf, np.inf, 1.0])
+
+
 def quadratic_form(U, w):
     """Smoothness ``Tr(U' L U)`` of the rows of ``U`` over the graph ``w``."""
     return float(np.sum(U * (laplacian(w) @ U)))
@@ -264,6 +285,13 @@ class TestGeodesicUpdate:
                 single = smooth_one(F[mode], w[mode], 0.9)
                 assert np.abs(stacked[mode] - single).max() <= 1e-12
             assert np.abs(stacked[1] - F[1]).max() <= 1e-12
+
+    def test_out_receives_the_same_solutions(self):
+        F = rng.standard_normal((3, 5, 17))
+        w = rng.random((3, n_edges(5)))
+        out = np.empty_like(F)
+        assert geodesic_update(F, w, 0.6, out=out) is out
+        assert np.array_equal(out, geodesic_update(F, w, 0.6))
 
     def test_negative_weight_or_beta_rejected(self):
         F = rng.standard_normal((2, 3, 5))

@@ -352,7 +352,7 @@ class TestWriteResult:
         result = small_result()
         snapshot = IterationSnapshot(
             1, 0.5, (0.1, 0.2), 3.0, graph_steps=(4, 1),
-            graph_converged=(True, False),
+            graph_converged=(True, False), graph_tolerance=2.5e-3,
         )
         result = DecompositionResult(
             modes=result.modes, residual=result.residual, iterations=1,
@@ -362,9 +362,11 @@ class TestWriteResult:
         entry = read_summary_json(tmp_path)["trace"][0]
         assert entry["graph_steps"] == [4, 1]
         assert entry["graph_converged"] == [True, False]
+        assert entry["graph_tolerance"] == 2.5e-3
         write_result(tmp_path, small_result(), **manifest_for(result))
         entry = read_summary_json(tmp_path)["trace"][0]
         assert entry["graph_steps"] == entry["graph_converged"] == []
+        assert entry["graph_tolerance"] is None
 
     def test_mode_csv_round_trips_samples(self, tmp_path):
         result = small_result()
