@@ -53,12 +53,12 @@ blocks of whole node rows sized to stay in cache
 (:func:`~tvgmd.spectral.row_blocks`, which the transforms use too) and
 gives the same values as one sweep over whole arrays.
 
-Memory: with graphs the loop keeps three ``(K, N, P)`` mode buffers,
-allocated once: the sweep writes the next modes into one, smoothing writes
-them into a second, and the change is formed in the previous iterate's.
-Smoothing leaves the buffer the sweep wrote free for the squared modes and
-then the distances' weighted modes, and it takes the next smoothing, so no
-(K, N, P) array is allocated per iteration. It also
+Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers, which
+alternate between the previous and the next iterate, since the sweep
+writes the next modes into one and the change is formed in the other
+after smoothing; smoothing makes one more, and leaves the buffer the
+sweep wrote free for the squared modes and then the distances' weighted
+modes, so no other (K, N, P) array is allocated per iteration. It also
 keeps two ``(N, P)`` arrays, the input coefficients and the buffer that
 step (2) squares each mode into, and a third for the duals when ``tau >
 0``. Without graphs the loop holds the input coefficients and a few (K, P)
@@ -250,11 +250,8 @@ def _iterate(
     blocks = row_blocks(*data.shape)
     # The sweep writes the next iterate into the spare buffer, and the
     # change is formed in the previous one, which becomes the next spare.
-    # With graphs smoothing writes into a third buffer; the sweep's buffer
-    # then holds scratch and is the next iteration's smoothing target.
     g = np.zeros((k,) + data.shape)
     spare = np.empty_like(g)
-    smooth = np.empty_like(g) if graphs else None
     # with tau = 0 the duals stay zero and no step carries them
     lam = np.zeros_like(data) if config.tau != 0.0 else None
     fit_weights = weights * node_power
@@ -286,11 +283,11 @@ def _iterate(
             # (3) smooth along the previous graphs, all modes in one solve;
             # the sweep's buffer is free from here on, and takes the
             # squares and then the weighted modes
-            g, smooth = geodesic_update(g, edge_w, config.beta, out=smooth), g
-            mode_power = np.square(g, out=smooth).sum(axis=1)
+            g = geodesic_update(g, edge_w, config.beta)
+            mode_power = np.square(g, out=spare).sum(axis=1)
             # (4) re-learn every mode's graph from its new distances
             zs = pairwise_distances(
-                np.multiply(g, root_weights, out=smooth),
+                np.multiply(g, root_weights, out=spare),
                 normalize=config.normalize_distances,
             )
             edge_w, steps, solved = learn_graph_batch(

@@ -130,14 +130,22 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
             "modes must be an N x T matrix or a K x N x T stack"
         )
     rows, cols = edge_pairs(U.shape[-2])
-    with np.errstate(invalid="ignore"):  # a non-finite entry times zero
+    with np.errstate(invalid="ignore", over="ignore"):
         G = U @ U.swapaxes(-1, -2)
     sq = np.diagonal(G, axis1=-2, axis2=-1)
     # A non-finite entry makes its row's squared norm non-finite, so the
-    # diagonal screens the input; a full scan runs only when it fails,
-    # which for finite input means squares that overflow.
-    if not np.isfinite(sq).all() and not np.isfinite(U).all():
-        raise NonFiniteInputError("mode matrix contains non-finite entries")
+    # diagonal screens the input. With finite squares no product or
+    # partial sum of the Gram matrix can overflow (Cauchy-Schwarz), so a
+    # silenced warning can only have come from a non-finite entry or an
+    # overflowing square. When the screen fails on finite input, whose
+    # squares overflow, the product is formed again with numpy's warnings
+    # on.
+    if not np.isfinite(sq).all():
+        if not np.isfinite(U).all():
+            raise NonFiniteInputError(
+                "mode matrix contains non-finite entries")
+        G = U @ U.swapaxes(-1, -2)
+        sq = np.diagonal(G, axis1=-2, axis2=-1)
     z = sq[..., rows] + sq[..., cols] - 2.0 * G[..., rows, cols]
     # Gram-based distances can dip a hair below zero for identical rows.
     z = np.maximum(z, 0.0)
@@ -148,17 +156,15 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
 
 
 def geodesic_update(
-    f: np.ndarray, edge_w: np.ndarray, beta: float,
-    out: np.ndarray | None = None,
+    f: np.ndarray, edge_w: np.ndarray, beta: float
 ) -> np.ndarray:
     """Solve ``(I + beta L_k) U_k = F_k`` for every mode ``k`` at once.
 
     ``f`` is a ``(K, N, P)`` stack of node-by-coefficient matrices and
     ``edge_w`` the ``(K, M)`` edge weights of the K graphs; ``L_k`` is the
     combinatorial Laplacian of graph ``k``. Returns the ``(K, N, P)``
-    solutions, written into ``out`` when it is given (a float array of
-    that shape, not overlapping ``f``) and into a new array otherwise.
-    Non-finite input raises :class:`NonFiniteInputError`.
+    solutions as a new array. Non-finite input raises
+    :class:`NonFiniteInputError`.
 
     ``I + beta L`` is symmetric positive definite for ``beta >= 0`` and
     nonnegative weights: its eigenvalues are at least 1, so no check is
@@ -187,5 +193,5 @@ def geodesic_update(
     if np.any(w < 0):
         raise NegativeWeightError("edge weights must be nonnegative")
     A = node_matrices(-beta * w, 1.0 + beta * edge_degrees(w, F.shape[1]))
-    return np.matmul(np.linalg.inv(A), F, out=out)
+    return np.linalg.inv(A) @ F
 

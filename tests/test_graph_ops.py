@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,17 @@ class TestPairwiseDistances:
             z = pairwise_distances(U)
         assert np.array_equal(z, [np.inf, np.inf, 1.0])
 
+    def test_overflow_with_opposite_signs_is_not_silent(self):
+        # the products of rows 0 and 1 overflow with opposite signs, so
+        # their distance is inf - inf; numpy must still say so
+        U = np.array([[1e200, 1e200], [1e200, -1e200], [0.0, 1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            z = pairwise_distances(U)
+        messages = " ".join(str(w.message) for w in caught)
+        assert "overflow" in messages and "invalid value" in messages
+        assert np.isnan(z[0]) and np.array_equal(z[1:], [np.inf, np.inf])
+
 
 def quadratic_form(U, w):
     """Smoothness ``Tr(U' L U)`` of the rows of ``U`` over the graph ``w``."""
@@ -285,13 +298,6 @@ class TestGeodesicUpdate:
                 single = smooth_one(F[mode], w[mode], 0.9)
                 assert np.abs(stacked[mode] - single).max() <= 1e-12
             assert np.abs(stacked[1] - F[1]).max() <= 1e-12
-
-    def test_out_receives_the_same_solutions(self):
-        F = rng.standard_normal((3, 5, 17))
-        w = rng.random((3, n_edges(5)))
-        out = np.empty_like(F)
-        assert geodesic_update(F, w, 0.6, out=out) is out
-        assert np.array_equal(out, geodesic_update(F, w, 0.6))
 
     def test_negative_weight_or_beta_rejected(self):
         F = rng.standard_normal((2, 3, 5))
