@@ -195,25 +195,24 @@ class TestPairwiseDistances:
                            match="mode matrix contains non-finite entries"):
             pairwise_distances(U)
 
-    def test_finite_squares_that_overflow_are_not_rejected(self):
-        # finite input is no input error even when its squares overflow:
-        # those distances come out infinite, with numpy's overflow warning
-        U = np.zeros((3, 4))
-        U[0, 0], U[1, 1] = 1e200, 1.0
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            z = pairwise_distances(U)
-        assert np.array_equal(z, [np.inf, np.inf, 1.0])
-
-    def test_overflow_with_opposite_signs_is_not_silent(self):
-        # the products of rows 0 and 1 overflow with opposite signs, so
-        # their distance is inf - inf; numpy must still say so
-        U = np.array([[1e200, 1e200], [1e200, -1e200], [0.0, 1.0]])
+    @pytest.mark.parametrize("rows,expected,warned", [
+        # squares that overflow: those distances come out infinite
+        ([[1e200, 0.0], [0.0, 1.0], [0.0, 0.0]], [np.inf, np.inf, 1.0],
+         ("overflow",)),
+        # products that overflow with opposite signs: inf - inf
+        ([[1e200, 1e200], [1e200, -1e200], [0.0, 1.0]],
+         [np.nan, np.inf, np.inf], ("overflow", "invalid value")),
+    ])
+    def test_finite_squares_that_overflow_are_not_rejected(
+            self, rows, expected, warned):
+        # finite input is no input error even when its squares overflow,
+        # and numpy's warnings still say so
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            z = pairwise_distances(U)
+            z = pairwise_distances(np.array(rows))
         messages = " ".join(str(w.message) for w in caught)
-        assert "overflow" in messages and "invalid value" in messages
-        assert np.isnan(z[0]) and np.array_equal(z[1:], [np.inf, np.inf])
+        assert all(word in messages for word in warned)
+        np.testing.assert_array_equal(z, expected)
 
 
 def quadratic_form(U, w):
