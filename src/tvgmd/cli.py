@@ -8,7 +8,10 @@ converging (results are still written), 1 runtime or validation error,
 the coefficients the decomposition itself uses
 (:func:`~tvgmd.spectral.to_coefficients` folded per bin by
 :func:`~tvgmd.spectral.bin_power`): T rows with mirroring, T//2 + 1
-without.
+without. It writes ``spectrum_k.csv`` only for the modes the summary
+lists and, like ``decompose`` with ``mode_k.csv`` and
+``adjacency_k.json``, deletes nothing, so an earlier run's
+``spectrum_k.csv`` for a mode the bundle lacks stays in the directory.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ promise.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ from .graph_ops import n_edges
 
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
 _FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
+_INT_FIELDS = ("K", "max_iter", "graph_max_iter")
+_BOOL_FIELDS = ("mirror_extend", "normalize_distances")
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -87,8 +91,13 @@ class DecompositionConfig:
     any graph solve misses its tolerance reports ``converged=False``.
     ``beta = 0`` is the multivariate mode decomposition baseline.
 
-    A config checks itself when built: every float field must be finite,
-    and any value outside its range raises :class:`BadParameterError`.
+    A config checks itself when built: every float field must be a finite
+    real number, ``K``, ``max_iter`` and ``graph_max_iter`` integers (not
+    bools), and ``mirror_extend`` and ``normalize_distances`` bools. A
+    field of the wrong type, or a value outside its range, raises
+    :class:`BadParameterError`. NumPy scalars are accepted, and every
+    numeric or bool field is stored as a plain Python ``int``, ``float`` or
+    ``bool``.
     """
 
     K: int
@@ -106,8 +115,20 @@ class DecompositionConfig:
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise BadParameterError(f"{name} must be finite")
+            object.__setattr__(self, name, float(value))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise BadParameterError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise BadParameterError(f"{name} must be a bool")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         if self.K < 1:
             raise BadParameterError("K must be >= 1")
         if not self.alpha > 0:

@@ -2,22 +2,26 @@
 
 The input is transformed once into real coefficients
 (:func:`~tvgmd.spectral.to_coefficients`) and the modes are transformed
-back once at the end; every step in between works on real arrays. Each
-iteration sweeps, in order: per-mode per-node spectral updates at the
-current center frequencies (mode by mode, so later modes see the earlier
-modes' fresh spectra), the center-frequency updates, one graph-smoothing
-solve for all modes against the previous iteration's graphs, re-learning
-every mode's graph from its new pairwise distances in one lockstep
-learner call, and the dual ascent. Smoothing mixes nodes and the
+back once at the end; every step in between works on real arrays. The
+loop's state lives in one ``_Loop``, and :func:`decompose` steps it, one
+iteration per :meth:`_Loop.step`, which runs in order: per-mode per-node
+spectral updates at the current center frequencies (mode by mode, so
+later modes see the earlier modes' fresh spectra), the center-frequency
+updates, one graph-smoothing solve for all modes against the previous
+iteration's graphs, re-learning every mode's graph from its new pairwise
+distances in one lockstep learner call, the dual ascent and the change,
+and returns the iteration's snapshot. Smoothing mixes nodes and the
 transform runs along time, so the smoothing solve applies to the
 coefficient rows directly, and by Parseval the distances of the rows
-scaled by ``sqrt(weights)`` are the time-domain distances. The loop stops
-when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``, each mode's squared change
-over its previous energy with the norms taken over all nodes and
-coefficients, drops below the tolerance: the rule of VMD (Dragomiretskiy
-& Zosso, IEEE TSP 2014) and MVMD (ur Rehman & Aftab, IEEE TSP 2019). The
-run counts as converged only if, in addition, every graph solve in it met
-its own tolerance.
+scaled by ``sqrt(weights)`` are the time-domain distances. Around each
+step, :func:`decompose` applies the stop rule and sets the next graph
+tolerance. The loop stops when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``,
+each mode's squared change over its previous energy with the norms taken
+over all nodes and coefficients, drops below the tolerance: the rule of
+VMD (Dragomiretskiy & Zosso, IEEE TSP 2014) and MVMD (ur Rehman & Aftab,
+IEEE TSP 2019). The run counts as converged only if, in addition, every
+graph solve in it met its own tolerance, as the trace's
+``graph_converged`` flags record.
 
 The graph solves are inexact early on, as in inexact ADMM (Eckstein &
 Bertsekas, Math. Programming 1992): each iteration holds its solves to a
@@ -53,21 +57,23 @@ blocks of whole node rows sized to stay in cache
 (:func:`~tvgmd.spectral.row_blocks`, which the transforms use too) and
 gives the same values as one sweep over whole arrays.
 
-Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers, which
-alternate between the previous and the next iterate, since the sweep
-writes the next modes into one and the change is formed in the other
-after smoothing; smoothing makes one more, and leaves the buffer the
-sweep wrote free for the squared modes and then the distances' weighted
-modes, so no other (K, N, P) array is allocated per iteration. It also
-keeps two ``(N, P)`` arrays, the input coefficients and the buffer that
-step (2) squares each mode into, and a third for the duals when ``tau >
-0``. Without graphs the loop holds the input coefficients and a few (K, P)
-arrays. Each iteration's per-mode energies serve as the next iteration's
+Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers,
+``_Loop.g`` and ``_Loop.spare``, which alternate between the previous
+and the next iterate, since the sweep writes the next modes into
+``spare`` and the change is formed in the previous ``g`` after smoothing;
+smoothing makes one more, and leaves the buffer the sweep wrote free for
+the squared modes and then the distances' weighted modes, so no other
+(K, N, P) array is allocated per iteration. It also keeps two ``(N, P)``
+arrays, the input coefficients ``x_c`` and ``power``, which step (2)
+squares each mode into, and a third, ``lam``, for the duals when ``tau >
+0``. Without graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
+iteration's per-mode ``energy`` serves as the next iteration's
 denominators, so no iterate is copied or squared twice. When the loop
-ends all of it but the final modes' buffer is released. Each mode goes
-back to the time domain one row block at a time, into the first T of its
-own P >= T columns, and the result's modes share that buffer read-only;
-only the residual is a new ``(N, T)`` array. Without graphs the traced peak is about 1.44
+ends, :func:`decompose` keeps the final modes' buffer and releases the
+``_Loop`` with every other array. Each mode goes back to the time domain
+one row block at a time, into the first T of its own P >= T columns, and
+the result's modes share that buffer read-only; only the residual is a
+new ``(N, T)`` array. Without graphs the traced peak is about 1.44
 buffers at K = 4, reached as the modes are formed: their buffer, the
 input coefficients and the loop's (K, P) arrays.
 """
@@ -220,131 +226,111 @@ def _update_centers(omegas, powers, grid) -> None:
             pass
 
 
-def _iterate(
-    x: np.ndarray, config: DecompositionConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationSnapshot], bool]:
-    """Run the loop on the coefficients of ``x``.
+class _Loop:
+    """The loop's state, and one iteration of it as :meth:`step`.
 
-    Returns the final mode coefficients (K, N, P), the centers, the edge
-    weights, the trace and whether the spectral change met the tolerance
-    with every graph solve converged. Every other array of the loop is
-    released when this returns.
+    ``g`` holds the current modes' coefficients (K, N, P), or their gains
+    (K, 1, P) when ``beta = 0``, and ``spare`` the buffer the next sweep
+    writes into. ``lam`` holds the duals (``None`` when ``tau = 0``) and
+    ``omegas`` the centers. ``x_c`` holds the input coefficients, and
+    ``grid`` and ``weights`` the frequency and energy weight of each
+    coefficient. ``edge_w`` and ``zs`` hold each mode's edge weights and
+    pairwise distances; ``zs`` is ``None`` until the first graph step.
+    ``graph_f`` holds each graph's objective as the learner left it,
+    ``energy`` each mode's energy, and ``graph_tol`` the tolerance of the
+    next iteration's graph solves (``None`` without graphs).
     """
-    n, t = x.shape
-    k = config.K
-    graphs = config.beta > 0
 
-    x_c, grid, weights = to_coefficients(x, config.mirror_extend)
-    omegas = _initial_omegas(
-        config, x_c, grid, 2 * t if config.mirror_extend else t
-    )
-    if graphs:
-        data, node_power = x_c, 1.0
-        power = np.empty_like(x_c)
-        root_weights = np.sqrt(weights)
-    else:
-        # g and lam hold the gains, one row against an input of ones; a sum
-        # over nodes weights each coefficient by node_power
-        data = np.ones((1, x_c.shape[1]))
-        node_power = np.einsum("np,np->p", x_c, x_c)
-    blocks = row_blocks(*data.shape)
-    # The sweep writes the next iterate into the spare buffer, and the
-    # change is formed in the previous one, which becomes the next spare.
-    g = np.zeros((k,) + data.shape)
-    spare = np.empty_like(g)
-    # with tau = 0 the duals stay zero and no step carries them
-    lam = np.zeros_like(data) if config.tau != 0.0 else None
-    fit_weights = weights * node_power
-    energy = np.zeros(k)  # per-mode energy of g
-    edge_w = np.zeros((k, n_edges(n)))
-    graph_f = np.zeros(k)  # each graph's objective, as the learner left it
-    zs = None
-    graph_tol = max(config.graph_epsilon, _LOOSEST) if graphs else None
+    def __init__(self, x: np.ndarray, config: DecompositionConfig):
+        n, t = x.shape
+        k = config.K
+        self.config = config
+        self.x_c, self.grid, self.weights = to_coefficients(
+            x, config.mirror_extend)
+        self.omegas = _initial_omegas(
+            config, self.x_c, self.grid, 2 * t if config.mirror_extend else t
+        )
+        if config.beta > 0:
+            self.data, self.node_power = self.x_c, 1.0
+            self.power = np.empty_like(self.x_c)
+            self.root_weights = np.sqrt(self.weights)
+        else:
+            # g and lam hold the gains, one row against an input of ones; a
+            # sum over nodes weights each coefficient by node_power
+            self.data = np.ones((1, self.x_c.shape[1]))
+            self.node_power = np.einsum("np,np->p", self.x_c, self.x_c)
+        self.blocks = row_blocks(*self.data.shape)
+        self.g = np.zeros((k,) + self.data.shape)
+        self.spare = np.empty_like(self.g)
+        # with tau = 0 the duals stay zero and no step carries them
+        self.lam = np.zeros_like(self.data) if config.tau != 0.0 else None
+        self.fit_weights = self.weights * self.node_power
+        self.energy = np.zeros(k)
+        self.edge_w = np.zeros((k, n_edges(n)))
+        self.graph_f = np.zeros(k)
+        self.zs = None
+        self.graph_tol = (max(config.graph_epsilon, _LOOSEST)
+                          if config.beta > 0 else None)
 
-    trace: list[IterationSnapshot] = []
-    converged = False
-    graphs_solved = True
-    iteration = 0
-    while iteration < config.max_iter:
-        iteration += 1
-        prev = energy
-
-        # (1) spectral sweep
-        gains = wiener_weights(grid, omegas[:, None], config.alpha)
-        g_prev, g = g, spare
-        _sweep(g_prev, data, lam, gains, blocks, out=g)
+    def step(self, iteration: int) -> IterationSnapshot:
+        """Run one iteration and return its snapshot."""
+        config = self.config
+        # (1) spectral sweep, into the spare buffer
+        gains = wiener_weights(self.grid, self.omegas[:, None], config.alpha)
+        g_prev, g = self.g, self.spare
+        _sweep(g_prev, self.data, self.lam, gains, self.blocks, out=g)
 
         graph_steps, graph_converged = (), ()
-        if graphs:
+        if config.beta > 0:
             # (2) center frequencies from the fresh spectra
-            _update_centers(
-                omegas, (np.square(mode, out=power) for mode in g), grid
-            )
+            _update_centers(self.omegas, (np.square(mode, out=self.power)
+                                          for mode in g), self.grid)
             # (3) smooth along the previous graphs, all modes in one solve;
             # the sweep's buffer is free from here on, and takes the
             # squares and then the weighted modes
-            g = geodesic_update(g, edge_w, config.beta)
-            mode_power = np.square(g, out=spare).sum(axis=1)
+            g = geodesic_update(g, self.edge_w, config.beta)
+            mode_power = np.square(g, out=self.spare).sum(axis=1)
             # (4) re-learn every mode's graph from its new distances
-            zs = pairwise_distances(
-                np.multiply(g, root_weights, out=spare),
+            self.zs = pairwise_distances(
+                np.multiply(g, self.root_weights, out=self.spare),
                 normalize=config.normalize_distances,
             )
-            edge_w, steps, solved = learn_graph_batch(
-                zs,
+            self.edge_w, steps, solved = learn_graph_batch(
+                self.zs,
                 config.beta,
                 config.gamma,
-                edge_w,
+                self.edge_w,
                 max_iter=config.graph_max_iter,
-                eps=graph_tol,
-                objective=graph_f,
+                eps=self.graph_tol,
+                objective=self.graph_f,
             )
-            graphs_solved &= bool(solved.all())
             graph_steps = tuple(int(s) for s in steps)
             graph_converged = tuple(bool(c) for c in solved)
         else:
             # (2) center frequencies from the fresh spectra
-            mode_power = np.square(g[:, 0]) * node_power
-            _update_centers(omegas, mode_power, grid)
+            mode_power = np.square(g[:, 0]) * self.node_power
+            _update_centers(self.omegas, mode_power, self.grid)
 
         # (5) dual ascent
-        fit = _dual_step(g, data, lam, config.tau, fit_weights)
+        fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights)
 
-        # (6) per-mode change, formed in g_prev's buffer, and energy
+        # (6) per-mode change, formed in g_prev's buffer, which becomes the
+        # next spare, over the previous energy
         diff = np.subtract(g, g_prev, out=g_prev)
-        change = (np.square(diff, out=diff).sum(axis=1) * node_power).sum(
-            axis=1)
-        energy = mode_power.sum(axis=1)
-        spare = g_prev
-        rel_change = _relative_change(change, prev)
-
-        # tests/test_core.py checks the objective against a whole-state
-        # reference by reading this frame's g, lam (None when tau = 0),
-        # omegas, x_c, grid, weights, edge_w and zs when the snapshot is
-        # built; keep those names, or change that harness with them.
-        trace.append(
-            IterationSnapshot(
-                iteration=iteration,
-                rel_change=rel_change,
-                omegas=tuple(float(o) for o in omegas),
-                objective=_objective(
-                    config, omegas, grid, weights, mode_power, fit, graph_f
-                ),
-                graph_steps=graph_steps,
-                graph_converged=graph_converged,
-                graph_tolerance=graph_tol,
-            )
+        change = (np.square(diff, out=diff).sum(axis=1)
+                  * self.node_power).sum(axis=1)
+        prev, self.energy = self.energy, mode_power.sum(axis=1)
+        self.g, self.spare = g, g_prev
+        return IterationSnapshot(
+            iteration=iteration,
+            rel_change=_relative_change(change, prev),
+            omegas=tuple(float(o) for o in self.omegas),
+            objective=_objective(config, self.omegas, self.grid,
+                                 self.weights, mode_power, fit, self.graph_f),
+            graph_steps=graph_steps,
+            graph_converged=graph_converged,
+            graph_tolerance=self.graph_tol,
         )
-        # a run ends only on graphs solved to graph_epsilon
-        if rel_change < config.epsilon and (
-                not graphs or graph_tol == config.graph_epsilon):
-            converged = True
-            break
-        if graphs:
-            graph_tol = _graph_tolerance(rel_change, config)
-    if not graphs:
-        g = np.multiply(g, x_c)  # the modes, formed once
-    return g, omegas, edge_w, trace, converged and graphs_solved
 
 
 def decompose(
@@ -371,7 +357,25 @@ def decompose(
         )
     if not np.all(np.isfinite(x)):
         raise NonFiniteInputError("signal contains NaN or infinite samples")
-    g, omegas, edge_w, trace, converged = _iterate(x, config)
+    loop = _Loop(x, config)
+    trace: list[IterationSnapshot] = []
+    converged = False
+    for iteration in range(1, config.max_iter + 1):
+        trace.append(loop.step(iteration))
+        rel_change = trace[-1].rel_change
+        # a run ends only on graphs solved to graph_epsilon, and counts as
+        # converged only if every graph solve in it met its tolerance
+        if rel_change < config.epsilon and (
+                config.beta == 0 or loop.graph_tol == config.graph_epsilon):
+            converged = all(all(s.graph_converged) for s in trace)
+            break
+        if config.beta > 0:
+            loop.graph_tol = _graph_tolerance(rel_change, config)
+    # the modes, formed once without graphs; every other array of the loop
+    # is released before they go back to the time domain
+    g = loop.g if config.beta > 0 else np.multiply(loop.g, loop.x_c)
+    omegas, edge_w = loop.omegas, loop.edge_w
+    del loop
 
     # Each mode goes back to the time domain in its own rows of the
     # coefficient buffer (P >= T), which then holds the finished modes and

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -75,41 +74,35 @@ def objective_value(g, lam, omegas, x, grid, weights, config, edge_w=None,
 
 
 def traced_objectives(signal, config, monkeypatch):
-    """Decompose, and at every trace snapshot evaluate the reference
-    formula on the loop's own state; returns the trace values (S,), the
-    references (S, R) and their tolerances (S, R).
+    """Decompose, and after every loop step evaluate the reference formula
+    on the loop's own state; returns the trace values (S,), the references
+    (S, R) and their tolerances (S, R).
 
-    The loop keeps its state in local variables, so the snapshot class is
-    wrapped to read them from the frame that builds each snapshot
-    (``decomposer._iterate``, whose comment there names the locals read).
-    The first reference is the formula on the whole node-domain state, to
-    rtol 1e-12. With ``beta = 0`` the loop state is per-coefficient gains
-    ``G`` and dual gains ``Lambda``, one row that every node's
-    coefficients are multiplied by, so the modes ``G * x_c`` and duals
-    ``Lambda * x_c`` are rebuilt for it. The loop's residual ``1 - sum_k
-    G`` and the rebuilt ``x_c - sum_k G * x_c`` round apart by about ``eps
-    * |x_c|`` per coefficient, which moves the objective by up to about
-    ``eps`` times the size of its fit terms, ``sum(weights * x_c^2)``. On
-    the odd-length cells without mirroring the objective cancels to 2e-12
-    of those terms, so that reference is held to 1e-12 of the terms where
-    they exceed the objective (it stays within 3e-16 of them on the parity
-    grid). A second reference, the formula on the gain row itself
-    against an input of ones, each coefficient's weight times ``sum_n
-    x_c^2``, sums the same terms in the loop's own rounding and is held to
-    rtol 1e-12.
+    ``decomposer._Loop.step`` is wrapped to read the loop's attributes
+    once the step has built its snapshot. The first reference is the
+    formula on the whole node-domain state, to rtol 1e-12. With ``beta =
+    0`` the loop state is per-coefficient gains ``G`` and dual gains
+    ``Lambda``, one row that every node's coefficients are multiplied by,
+    so the modes ``G * x_c`` and duals ``Lambda * x_c`` are rebuilt for
+    it. The loop's residual ``1 - sum_k G`` and the rebuilt ``x_c - sum_k
+    G * x_c`` round apart by about ``eps * |x_c|`` per coefficient, which
+    moves the objective by up to about ``eps`` times the size of its fit
+    terms, ``sum(weights * x_c^2)``. On the odd-length cells without
+    mirroring the objective cancels to 2e-12 of those terms, so that
+    reference is held to 1e-12 of the terms where they exceed the
+    objective (it stays within 3e-16 of them on the parity grid). A second
+    reference, the formula on the gain row itself against an input of
+    ones, each coefficient's weight times ``sum_n x_c^2``, sums the same
+    terms in the loop's own rounding and is held to rtol 1e-12.
     """
     references, tolerances = [], []
-    snapshot = decomposer.IterationSnapshot
+    step = decomposer._Loop.step
 
-    def record(**fields):
-        state = sys._getframe(1).f_locals
-        missing = {"g", "lam", "omegas", "x_c", "grid", "weights", "edge_w",
-                   "zs"} - state.keys()
-        assert not missing, f"loop state renamed; harness lacks {missing}"
-        g, lam, x, weights = (state[name]
-                              for name in ("g", "lam", "x_c", "weights"))
-        if lam is None:  # tau = 0: the loop carries no duals
-            lam = np.zeros_like(g[0])
+    def traced_step(loop, iteration):
+        snapshot = step(loop, iteration)
+        g, x, weights = loop.g, loop.x_c, loop.weights
+        # tau = 0: the loop carries no duals
+        lam = np.zeros_like(g[0]) if loop.lam is None else loop.lam
         states = [(g, lam, x, weights)]
         if config.beta == 0:
             assert lam.shape == (1, x.shape[1])
@@ -117,9 +110,8 @@ def traced_objectives(signal, config, monkeypatch):
             states = [(g * x, lam * x, x, weights),
                       (g, lam, np.ones_like(lam), weights * node_power)]
         values = [
-            objective_value(modes, duals, state["omegas"], data,
-                            state["grid"], data_weights, config,
-                            state["edge_w"], state["zs"])
+            objective_value(modes, duals, loop.omegas, data, loop.grid,
+                            data_weights, config, loop.edge_w, loop.zs)
             for modes, duals, data, data_weights in states
         ]
         scales = [abs(value) for value in values]
@@ -127,9 +119,9 @@ def traced_objectives(signal, config, monkeypatch):
             scales[0] = max(scales[0], float(np.sum(weights * node_power)))
         references.append(values)
         tolerances.append([1e-12 * scale for scale in scales])
-        return snapshot(**fields)
+        return snapshot
 
-    monkeypatch.setattr(decomposer, "IterationSnapshot", record)
+    monkeypatch.setattr(decomposer._Loop, "step", traced_step)
     result = decompose(signal, config)
     return (np.array([s.objective for s in result.trace]),
             np.array(references), np.array(tolerances))
@@ -210,11 +202,22 @@ class TestValidateConfig:
             {"alpha": 1.0, name: value}
             for name in _FLOAT_FIELDS
             for value in (np.nan, np.inf, -np.inf)
+        ]
+        + [
+            # fields of the wrong type
+            {"alpha": 1.0, "K": 2.0},
+            {"alpha": 1.0, "K": True},
+            {"alpha": 1.0, "max_iter": 2.5},
+            {"alpha": 1.0, "max_iter": True},
+            {"alpha": 1.0, "graph_max_iter": 3.5},
+            {"alpha": 1.0, "mirror_extend": "no"},
+            {"alpha": 1.0, "normalize_distances": 1},
+            {"alpha": "50"},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(BadParameterError):
-            DecompositionConfig(K=2, **kwargs)
+            DecompositionConfig(**{"K": 2, **kwargs})
 
 
 class TestDomainTypes:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -367,6 +368,20 @@ class TestWriteResult:
         entry = read_summary_json(tmp_path)["trace"][0]
         assert entry["graph_steps"] == entry["graph_converged"] == []
         assert entry["graph_tolerance"] is None
+
+    def test_config_of_numpy_scalars_writes_a_bundle(self, tmp_path):
+        result = small_result()
+        manifest = manifest_for(result)
+        manifest["config"] = DecompositionConfig(
+            K=np.int64(2), alpha=np.float32(50), beta=np.float64(0.5),
+            max_iter=np.int64(50), graph_max_iter=np.int32(20),
+            mirror_extend=np.bool_(False),
+        )
+        write_result(tmp_path, result, **manifest)
+        assert read_summary_json(tmp_path)["config"] == dataclasses.asdict(
+            DecompositionConfig(K=2, alpha=50.0, beta=0.5, max_iter=50,
+                                graph_max_iter=20, mirror_extend=False)
+        )
 
     def test_mode_csv_round_trips_samples(self, tmp_path):
         result = small_result()
