@@ -326,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TvgmdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TvgmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

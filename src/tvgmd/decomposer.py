@@ -38,9 +38,8 @@ convergence flag, and the augmented-Lagrangian objective, which
 is assembled from reductions the loop forms anyway: the spectral terms
 from each mode's power and the dual step's residual, and each graph term
 from the objective the learner ends that mode's solve with. All K modes'
-gains come from one :func:`~tvgmd.spectral.wiener_weights` call. With
-``tau = 0`` the duals stay zero, so the loop holds no dual array and
-neither the sweep nor the dual step carries a dual term.
+gains come from one :func:`~tvgmd.spectral.wiener_weights` call. The
+loop always holds the duals; with ``tau = 0`` they stay zero.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline. Every step is
@@ -65,8 +64,8 @@ smoothing makes one more, and leaves the buffer the sweep wrote free for
 the squared modes and then the distances' weighted modes, so no other
 (K, N, P) array is allocated per iteration. It also keeps two ``(N, P)``
 arrays, the input coefficients ``x_c`` and ``power``, which step (2)
-squares each mode into, and a third, ``lam``, for the duals when ``tau >
-0``. Without graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
+squares each mode into, and a third, ``lam``, for the duals. Without
+graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
 iteration's per-mode ``energy`` serves as the next iteration's
 denominators, so no iterate is copied or squared twice. When the loop
 ends, :func:`decompose` keeps the final modes' buffer and releases the
@@ -147,20 +146,18 @@ def _sweep(g, x, lam, gains, blocks, out):
     """Step (1): the next modes from ``g`` into ``out``, one block of rows
     of the input ``x`` at a time; within a block in order over k, so later
     modes see the earlier modes' fresh spectra. ``gains`` holds one row per
-    mode, and ``lam`` is ``None`` when the duals are zero. Every temporary
-    is block-sized.
+    mode. Every temporary is block-sized.
     """
     for rows in blocks:
         old = g[:, rows]
         running_sum = old.sum(axis=0)
-        half_lam = None if lam is None else lam[rows] / 2.0
+        half_lam = lam[rows] / 2.0
         work = np.empty_like(running_sum)
         for mode, gain in enumerate(gains):
             # numerator x - (running_sum - old) + lam / 2, formed in work
             np.subtract(running_sum, old[mode], out=work)
             np.subtract(x[rows], work, out=work)
-            if half_lam is not None:
-                work += half_lam
+            work += half_lam
             new = np.multiply(work, gain, out=out[mode, rows])
             running_sum += np.subtract(new, old[mode], out=work)
 
@@ -168,16 +165,11 @@ def _sweep(g, x, lam, gains, blocks, out):
 def _dual_step(g, x, lam, tau, weights) -> float:
     """Dual ascent ``lam += tau * resid`` with the residual ``resid = x -
     sum_k g``; returns the objective's reconstruction and dual term
-    ``sum(weights * resid * (resid + lam))`` at the new duals. ``lam`` is
-    ``None`` when ``tau = 0``: the duals stay zero and only the
-    reconstruction term remains."""
+    ``sum(weights * resid * (resid + lam))`` at the new duals."""
     resid = np.subtract(x, g.sum(axis=0))
-    if lam is None:
-        fit = np.square(resid, out=resid)
-    else:
-        lam += tau * resid
-        fit = resid + lam
-        fit *= resid
+    lam += tau * resid
+    fit = resid + lam
+    fit *= resid
     fit *= weights
     return float(np.sum(fit))
 
@@ -203,17 +195,14 @@ def _objective(config, omegas, grid, weights, mode_power, fit,
     and nodes, the bandwidth penalty ``2*alpha*(omega - omega_k)^2 g^2``
     plus the reconstruction quadratic and the dual inner product, each
     coefficient weighted by its energy weight, so the reconstruction term
-    equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2``. When
-    ``beta > 0`` the graph part adds each mode's ``2*beta*w'z +
-    gamma*||w||^2 - 1'log(Qw)``, held in ``graph_f`` as the learner left
-    it. Monitoring only; the loop never branches on this value.
+    equals the time-domain ``sum_n ||x_n - sum_k g_n^k||^2``. The graph
+    part adds each mode's ``2*beta*w'z + gamma*||w||^2 - 1'log(Qw)``, held
+    in ``graph_f`` as the learner left it (zeros when ``beta = 0``).
+    Monitoring only; the loop never branches on this value.
     """
     sq = (grid[None, :] - omegas[:, None]) ** 2  # (K, P)
     bandwidth = float(np.sum(mode_power * sq * weights))
-    value = 2.0 * config.alpha * bandwidth + fit
-    if config.beta > 0:
-        value += float(graph_f.sum())
-    return value
+    return 2.0 * config.alpha * bandwidth + fit + float(graph_f.sum())
 
 
 def _update_centers(omegas, powers, grid) -> None:
@@ -231,11 +220,10 @@ class _Loop:
 
     ``g`` holds the current modes' coefficients (K, N, P), or their gains
     (K, 1, P) when ``beta = 0``, and ``spare`` the buffer the next sweep
-    writes into. ``lam`` holds the duals (``None`` when ``tau = 0``) and
+    writes into. ``lam`` holds the duals, shaped as ``data``, and
     ``omegas`` the centers. ``x_c`` holds the input coefficients, and
     ``grid`` and ``weights`` the frequency and energy weight of each
-    coefficient. ``edge_w`` and ``zs`` hold each mode's edge weights and
-    pairwise distances; ``zs`` is ``None`` until the first graph step.
+    coefficient. ``edge_w`` holds each mode's edge weights, and
     ``graph_f`` holds each graph's objective as the learner left it,
     ``energy`` each mode's energy, and ``graph_tol`` the tolerance of the
     next iteration's graph solves (``None`` without graphs).
@@ -262,13 +250,11 @@ class _Loop:
         self.blocks = row_blocks(*self.data.shape)
         self.g = np.zeros((k,) + self.data.shape)
         self.spare = np.empty_like(self.g)
-        # with tau = 0 the duals stay zero and no step carries them
-        self.lam = np.zeros_like(self.data) if config.tau != 0.0 else None
+        self.lam = np.zeros_like(self.data)
         self.fit_weights = self.weights * self.node_power
         self.energy = np.zeros(k)
         self.edge_w = np.zeros((k, n_edges(n)))
         self.graph_f = np.zeros(k)
-        self.zs = None
         self.graph_tol = (max(config.graph_epsilon, _LOOSEST)
                           if config.beta > 0 else None)
 
@@ -291,12 +277,12 @@ class _Loop:
             g = geodesic_update(g, self.edge_w, config.beta)
             mode_power = np.square(g, out=self.spare).sum(axis=1)
             # (4) re-learn every mode's graph from its new distances
-            self.zs = pairwise_distances(
+            zs = pairwise_distances(
                 np.multiply(g, self.root_weights, out=self.spare),
                 normalize=config.normalize_distances,
             )
             self.edge_w, steps, solved = learn_graph_batch(
-                self.zs,
+                zs,
                 config.beta,
                 config.gamma,
                 self.edge_w,

@@ -29,10 +29,6 @@ class DegenerateInputError(TvgmdError):
     """The graph-learning subproblem is ill-posed for this input."""
 
 
-class NegativeWeightError(TvgmdError):
-    """Edge weights must be nonnegative."""
-
-
 class NyquistViolationError(TvgmdError):
     """A requested tone is at or above half the sampling rate."""
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NegativeWeightError, NonFiniteInputError
+from .errors import DimensionMismatchError
 
 
 def n_edges(n_nodes: int) -> int:
@@ -123,29 +123,14 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
     np.ndarray
         Edge vector ``z`` with ``z[e=(m,n)] = ||row_m - row_n||^2``, shape
         ``(M,)`` for one matrix and ``(K, M)`` for a stack.
+
+    No validation: callers pass float arrays of at least 2 rows. Finite
+    rows whose squares overflow give infinite or NaN distances, with
+    numpy's warnings.
     """
-    U = np.asarray(modes, dtype=float)
-    if U.ndim not in (2, 3):
-        raise DimensionMismatchError(
-            "modes must be an N x T matrix or a K x N x T stack"
-        )
-    rows, cols = edge_pairs(U.shape[-2])
-    with np.errstate(invalid="ignore", over="ignore"):
-        G = U @ U.swapaxes(-1, -2)
+    rows, cols = edge_pairs(modes.shape[-2])
+    G = modes @ modes.swapaxes(-1, -2)
     sq = np.diagonal(G, axis1=-2, axis2=-1)
-    # A non-finite entry makes its row's squared norm non-finite, so the
-    # diagonal screens the input. With finite squares no product or
-    # partial sum of the Gram matrix can overflow (Cauchy-Schwarz), so a
-    # silenced warning can only have come from a non-finite entry or an
-    # overflowing square. When the screen fails on finite input, whose
-    # squares overflow, the product is formed again with numpy's warnings
-    # on.
-    if not np.isfinite(sq).all():
-        if not np.isfinite(U).all():
-            raise NonFiniteInputError(
-                "mode matrix contains non-finite entries")
-        G = U @ U.swapaxes(-1, -2)
-        sq = np.diagonal(G, axis1=-2, axis2=-1)
     z = sq[..., rows] + sq[..., cols] - 2.0 * G[..., rows, cols]
     # Gram-based distances can dip a hair below zero for identical rows.
     z = np.maximum(z, 0.0)
@@ -163,8 +148,8 @@ def geodesic_update(
     ``f`` is a ``(K, N, P)`` stack of node-by-coefficient matrices and
     ``edge_w`` the ``(K, M)`` edge weights of the K graphs; ``L_k`` is the
     combinatorial Laplacian of graph ``k``. Returns the ``(K, N, P)``
-    solutions as a new array. Non-finite input raises
-    :class:`NonFiniteInputError`.
+    solutions as a new array. No validation: callers pass finite float
+    arrays with ``M = N(N-1)/2``, nonnegative weights and ``beta >= 0``.
 
     ``I + beta L`` is symmetric positive definite for ``beta >= 0`` and
     nonnegative weights: its eigenvalues are at least 1, so no check is
@@ -175,23 +160,7 @@ def geodesic_update(
     2*beta*max degree`` and the product's error stays within that factor
     of rounding.
     """
-    F = np.asarray(f, dtype=float)
-    w = np.asarray(edge_w, dtype=float)
-    if F.ndim != 3 or w.ndim != 2 or F.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(
-            "need a (K, N, P) stack and (K, M) edge weights with equal K"
-        )
-    if n_edges(F.shape[1]) != w.shape[1]:
-        raise DimensionMismatchError(
-            f"{w.shape[1]} edge weights do not match {F.shape[1]} nodes"
-        )
-    finite = np.isfinite(F).all() and np.isfinite(w).all()
-    if not (finite and np.isfinite(beta)):
-        raise NonFiniteInputError("non-finite coefficients, weights or beta")
-    if beta < 0:
-        raise NegativeWeightError("beta must be nonnegative")
-    if np.any(w < 0):
-        raise NegativeWeightError("edge weights must be nonnegative")
-    A = node_matrices(-beta * w, 1.0 + beta * edge_degrees(w, F.shape[1]))
-    return np.linalg.inv(A) @ F
+    degrees = edge_degrees(edge_w, f.shape[1])
+    A = node_matrices(-beta * edge_w, 1.0 + beta * degrees)
+    return np.linalg.inv(A) @ f
 

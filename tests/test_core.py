@@ -100,9 +100,12 @@ def traced_objectives(signal, config, monkeypatch):
 
     def traced_step(loop, iteration):
         snapshot = step(loop, iteration)
-        g, x, weights = loop.g, loop.x_c, loop.weights
-        # tau = 0: the loop carries no duals
-        lam = np.zeros_like(g[0]) if loop.lam is None else loop.lam
+        g, x, weights, lam = loop.g, loop.x_c, loop.weights, loop.lam
+        zs = None
+        if config.beta > 0:
+            # the distances the step's graph solves ran on
+            zs = pairwise_distances(g * np.sqrt(weights),
+                                    normalize=config.normalize_distances)
         states = [(g, lam, x, weights)]
         if config.beta == 0:
             assert lam.shape == (1, x.shape[1])
@@ -111,7 +114,7 @@ def traced_objectives(signal, config, monkeypatch):
                       (g, lam, np.ones_like(lam), weights * node_power)]
         values = [
             objective_value(modes, duals, loop.omegas, data, loop.grid,
-                            data_weights, config, loop.edge_w, loop.zs)
+                            data_weights, config, loop.edge_w, zs)
             for modes, duals, data, data_weights in states
         ]
         scales = [abs(value) for value in values]
