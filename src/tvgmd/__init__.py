@@ -15,7 +15,7 @@ from .core import (
     TimeVaryingGraphSignal,
 )
 from .decomposer import decompose
-from .graph_learner import graph_objective, learn_graph_batch
+from .graph_learner import learn_graph_batch
 from .synth import GroundTruth, SynthSpec, generate, paper_preset
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "__version__",
     "decompose",
     "generate",
-    "graph_objective",
     "learn_graph_batch",
     "paper_preset",
 ]

@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false", help="disable boundary mirroring")
     p_dec.add_argument("--normalize-distances", action="store_true",
                        default=False,
-                       help="divide pairwise distances by their mean")
+                       help="divide each mode's pairwise distances by "
+                            "their own mean in every iteration; this can "
+                            "move centers, see README")
     p_dec.add_argument("--graph-max-iter", type=int,
                        default=defaults.graph_max_iter,
                        help="cap on graph learner Newton steps per solve "

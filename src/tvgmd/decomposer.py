@@ -178,7 +178,10 @@ def _relative_change(change, prev) -> float:
     """``sum_k change_k / prev_k``, each mode's squared change over its
     previous energy, both summed over all nodes (the stopping rule of VMD
     and MVMD). A mode without previous energy counts 1 if it moved and 0
-    if it stayed at zero."""
+    if it stayed at zero. A non-finite change or previous energy, which
+    only an overflowing state has, gives NaN."""
+    if not (np.all(np.isfinite(change)) and np.all(np.isfinite(prev))):
+        return math.nan
     ratios = np.divide(change, prev, out=(change > 0).astype(float),
                        where=prev > 0)
     return float(ratios.sum())
@@ -333,7 +336,11 @@ def decompose(
 
     The config checked itself when it was built. The signal needs at least
     2 nodes and 4 samples (else :class:`BadDimensionsError`) and finite
-    samples only (else :class:`NonFiniteInputError`).
+    samples only (else :class:`NonFiniteInputError`). Finite samples whose
+    squares overflow raise :class:`NonFiniteInputError` at the first
+    iteration whose change is not finite; with graphs the learner's
+    :class:`DegenerateInputError` on the overflowing distances may come
+    first.
     """
     x = signal.samples
     n, t = x.shape
@@ -349,6 +356,11 @@ def decompose(
     for iteration in range(1, config.max_iter + 1):
         trace.append(loop.step(iteration))
         rel_change = trace[-1].rel_change
+        if not math.isfinite(rel_change):
+            raise NonFiniteInputError(
+                f"the modes' energy overflowed in iteration {iteration}: "
+                "the input's scale is too large; rescale the samples"
+            )
         # a run ends only on graphs solved to graph_epsilon, and counts as
         # converged only if every graph solve in it met its tolerance
         if rel_change < config.epsilon and (

@@ -61,7 +61,7 @@ def _evaluate(v, lin, gamma, n):
     deg = edge_degrees(v, n)
     bad = None
     safe = deg
-    if deg.size and deg.min() <= 0.0:
+    if deg.min() <= 0.0:
         bad = deg.min(axis=1) <= 0.0
         safe = np.where(bad[:, None], 1.0, deg)  # keeps 1/deg and log finite
     grad = lin + 2.0 * gamma * v - edge_sums(1.0 / safe, n)
@@ -73,26 +73,6 @@ def _evaluate(v, lin, gamma, n):
     if bad is not None:
         value[bad] = res[bad] = np.inf
     return value, deg, grad, res
-
-
-def graph_objective(
-    w: np.ndarray, z: np.ndarray, beta: float, gamma: float
-) -> float | np.ndarray:
-    """Evaluate ``2*beta*w'z + gamma*||w||^2 - sum_n log((Qw)_n)``.
-
-    ``w`` and ``z`` are one edge vector each, giving a float, or ``(K, M)``
-    stacks of them, giving one value per row. A row with a node degree that
-    is not strictly positive evaluates to ``+inf``. Assumes ``w >= 0``.
-    """
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if w.shape != z.shape or w.ndim not in (1, 2):
-        raise DimensionMismatchError("w and z must have the same shape")
-    n = nodes_from_edge_count(w.shape[-1])
-    values = _evaluate(
-        np.atleast_2d(w), 2.0 * beta * np.atleast_2d(z), gamma, n
-    )[0]
-    return float(values[0]) if w.ndim == 1 else values
 
 
 def learn_graph_batch(
@@ -124,10 +104,7 @@ def learn_graph_batch(
 
     When ``objective``, an array with one entry per row, is given, each
     row's final ``f`` is written into it: the value the solver holds for
-    the returned weights, so no caller needs :func:`graph_objective` again.
-    It equals ``graph_objective(weights, zs, beta, gamma)`` exactly for a
-    C-ordered ``zs``; for another layout each row's ``2*beta*w'z`` may be
-    summed in a different order, a difference of rounding size.
+    the returned weights.
 
     Returns
     -------

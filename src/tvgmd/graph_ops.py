@@ -40,10 +40,8 @@ def edge_pairs(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Node pair ``(rows[e], cols[e])`` of each edge ``e`` of ``n_nodes``.
 
     Built once per node count and read-only, since every caller shares
-    them. Fewer than 2 nodes raise :class:`DimensionMismatchError`.
+    them. No validation: callers pass ``n_nodes >= 2``.
     """
-    if n_nodes < 2:
-        raise DimensionMismatchError("a graph needs at least 2 nodes")
     rows, cols = np.triu_indices(n_nodes, k=1)
     rows.flags.writeable = False
     cols.flags.writeable = False

@@ -256,12 +256,13 @@ def write_result(
     left in ``out_dir`` stay and are not listed. ``config``,
     ``sample_rate_hz`` and ``input_sha256`` pin the run together with the
     input file, and ``timing_ms`` is its wall time. Each trace entry
-    carries ``iteration``, ``rel_change``, ``omegas``, ``objective`` (null
-    when infinite), the per-mode ``graph_steps`` and ``graph_converged``
-    of that iteration's graph solves (empty lists when graph learning was
-    off) and ``graph_tolerance``, the KKT tolerance those solves were held
-    to (null when graph learning was off); a converged run's last entry
-    holds ``config.graph_epsilon``.
+    holds the fields of one :class:`~tvgmd.core.IterationSnapshot`, in
+    their order: ``iteration``, ``rel_change``, ``omegas``, ``objective``
+    (null when infinite), the per-mode ``graph_steps`` and
+    ``graph_converged`` of that iteration's graph solves (empty lists when
+    graph learning was off) and ``graph_tolerance``, the KKT tolerance
+    those solves were held to (null when graph learning was off); a
+    converged run's last entry holds ``config.graph_epsilon``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,15 +290,8 @@ def write_result(
         "mvmd_baseline": mvmd_baseline,
         "residual_fro": float(np.linalg.norm(result.residual)),
         "trace": [
-            {
-                "iteration": s.iteration,
-                "rel_change": s.rel_change,
-                "omegas": list(s.omegas),
-                "objective": s.objective if math.isfinite(s.objective) else None,
-                "graph_steps": list(s.graph_steps),
-                "graph_converged": list(s.graph_converged),
-                "graph_tolerance": s.graph_tolerance,
-            }
+            {**vars(s),
+             "objective": s.objective if math.isfinite(s.objective) else None}
             for s in result.trace
         ],
     }

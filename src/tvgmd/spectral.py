@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateModeError, DimensionMismatchError
+from .errors import DegenerateModeError
 
 # Bytes of one (rows, columns) slice of a row block, so that the slices one
 # block touches stay in a core's L2 cache. Blocks hold whole rows, so every
@@ -106,19 +106,14 @@ def from_coefficients(
     temporaries stay block-sized, and returns ``out`` when given: an array
     of shape ``(rows, t)`` for 2-D coefficients. ``out`` may be the first
     ``t`` columns of the coefficients' own buffer, since every block is
-    read in full before it is written.
+    read in full before it is written. No validation: callers pass a float
+    array of the length :func:`to_coefficients` gives for ``t`` samples.
     """
-    c = np.asarray(coefficients, dtype=float)
-    expected = t if mirror else 2 * (t // 2 + 1)
-    if c.shape[-1] != expected:
-        raise DimensionMismatchError(
-            f"{c.shape[-1]} coefficients do not describe {t} samples "
-            f"({expected} expected)"
-        )
-    rows = c.reshape(-1, expected)
+    p = coefficients.shape[-1]
+    rows = coefficients.reshape(-1, p)
     series = np.empty((len(rows), t)) if out is None else out
     phase = _half_sample_phase(t) if mirror else None
-    for block in row_blocks(len(rows), expected):
+    for block in row_blocks(len(rows), p):
         if mirror:
             spectrum = np.zeros((rows[block].shape[0], t + 1), dtype=complex)
             np.multiply(rows[block], phase, out=spectrum[:, :t])
@@ -126,7 +121,8 @@ def from_coefficients(
         else:
             series[block] = np.fft.irfft(
                 np.ascontiguousarray(rows[block]).view(complex), n=t)
-    return series.reshape(c.shape[:-1] + (t,)) if out is None else out
+    return (series.reshape(coefficients.shape[:-1] + (t,)) if out is None
+            else out)
 
 
 def bin_power(

@@ -25,13 +25,14 @@ import pytest
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import _LOOSEST, _initial_omegas, decompose
 from tvgmd.errors import DegenerateModeError
-from tvgmd.graph_learner import graph_objective, learn_graph_batch
+from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
 from tvgmd.spectral import (
     mean_frequency,
     to_coefficients,
     wiener_weights,
 )
+from test_graph_learner import objective
 
 
 def mirror_extend(series):
@@ -81,7 +82,7 @@ def _reference_objective(g_hat, lam_hat, omegas, x_hat, t, config, edge_w, zs):
     value = scale * (bandwidth + reconstruction + dual)
     if config.beta > 0:
         for w, z in zip(edge_w, zs):
-            value += graph_objective(w, z, config.beta, config.gamma)
+            value += objective(w, z, config.beta, config.gamma)
     return value
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tvgmd.decomposer as decomposer
 from tvgmd import graph_learner
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import (
@@ -14,7 +15,7 @@ from tvgmd.decomposer import (
     _sweep,
     decompose,
 )
-from tvgmd.errors import TvgmdError
+from tvgmd.errors import NonFiniteInputError, TvgmdError
 from tvgmd.spectral import row_blocks
 from tvgmd.synth import generate, paper_preset
 from test_graph_learner import gradient
@@ -129,6 +130,17 @@ class TestStoppingRule:
         first = decompose(two_tone_signal(), DecompositionConfig(
             K=2, alpha=200.0, beta=0.0, max_iter=1)).trace[0]
         assert first.rel_change == 2.0
+
+    @pytest.mark.parametrize("change,prev", [
+        ([1.0, 1.0], [np.nan, 1.0]),
+        ([np.nan, 1.0], [1.0, 1.0]),
+        ([np.inf, 1.0], [0.0, 1.0]),
+        ([1.0, 1.0], [np.inf, 1.0]),
+    ])
+    def test_non_finite_state_gives_nan(self, change, prev):
+        # an overflowing state must not read as a change of 0 (or count 1
+        # as a mode that moved from zero) and pass the stop test
+        assert math.isnan(_relative_change(np.array(change), np.array(prev)))
 
     def test_no_mirror_stops_with_mirrored_run(self, preset):
         # modes that die out at some nodes must not keep the run going on
@@ -353,7 +365,8 @@ class TestAwkwardInputs:
         # run must still end in a package error, not in NaN modes or a
         # crash. The graph kernels check nothing, so with graphs the
         # learner rejects the overflowing distances, and without graphs
-        # the modes are rejected; numpy's warnings on the way are recorded
+        # the loop stops on the first change that is not finite; numpy's
+        # warnings on the way are recorded
         signal = TimeVaryingGraphSignal(samples=1e160 * preset.samples,
                                         sample_rate_hz=preset.sample_rate_hz)
         config = DecompositionConfig(K=4, alpha=200.0, beta=beta)
@@ -362,6 +375,31 @@ class TestAwkwardInputs:
             with pytest.raises(TvgmdError):
                 decompose(signal, config)
         assert all(issubclass(w.category, RuntimeWarning) for w in caught)
+
+    def test_overflow_stops_at_the_first_non_finite_change(self, preset,
+                                                           monkeypatch):
+        # without graphs the centers go NaN in iteration 1; the run must
+        # not step on and count as converged, and the error names the
+        # input's scale, not an internal field
+        signal = TimeVaryingGraphSignal(samples=1e160 * preset.samples,
+                                        sample_rate_hz=preset.sample_rate_hz)
+        changes = []
+        step = decomposer._Loop.step
+
+        def traced_step(loop, iteration):
+            snapshot = step(loop, iteration)
+            changes.append(snapshot.rel_change)
+            return snapshot
+
+        monkeypatch.setattr(decomposer._Loop, "step", traced_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteInputError, match="scale") as caught:
+                decompose(signal, DecompositionConfig(K=4, alpha=200.0,
+                                                      beta=0.0))
+        assert "mode_samples" not in str(caught.value)
+        assert changes and not math.isfinite(changes[-1])
+        assert all(math.isfinite(c) for c in changes[:-1])
 
 
 class TestOptions:

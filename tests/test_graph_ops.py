@@ -61,14 +61,6 @@ class TestEdgeIndexing:
         with pytest.raises(DimensionMismatchError):
             nodes_from_edge_count(4)
 
-    def test_one_node_graph_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            edge_pairs(1)
-        with pytest.raises(DimensionMismatchError):
-            pairwise_distances(np.ones((1, 8)))
-        with pytest.raises(DimensionMismatchError):
-            geodesic_update(np.ones((2, 1, 8)), np.zeros((2, 0)), 0.5)
-
 
 def degrees_of(w):
     """Degree operator ``Q w`` of one edge vector through the stacked kernel."""

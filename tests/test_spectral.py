@@ -5,11 +5,7 @@ from hypothesis import strategies as st
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import decompose
-from tvgmd.errors import (
-    BadDimensionsError,
-    DegenerateModeError,
-    DimensionMismatchError,
-)
+from tvgmd.errors import BadDimensionsError, DegenerateModeError
 from tvgmd.spectral import (
     bin_power,
     from_coefficients,
@@ -104,12 +100,6 @@ class TestTransforms:
         signal = TimeVaryingGraphSignal(samples=np.ones((3, 3)), sample_rate_hz=1.0)
         with pytest.raises(BadDimensionsError):
             decompose(signal, DecompositionConfig(K=1, alpha=1.0))
-
-    def test_inconsistent_lengths_rejected(self):
-        # unmirrored coefficients cannot be inverted as mirrored ones
-        coefficients, _, _ = to_coefficients(np.ones(16), mirror=False)
-        with pytest.raises(DimensionMismatchError):
-            from_coefficients(coefficients, 16, mirror=True)
 
     @pytest.mark.parametrize("t_len", [8, 9, 64])
     def test_coefficients_match_mirrored_fft(self, t_len):

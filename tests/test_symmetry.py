@@ -1,6 +1,6 @@
-"""Symmetry gates: ``decompose`` commutes with a global sign flip and with
-a relabelling of the nodes, and without graphs also with scaling by a
-power of two, a per-node sign flip and time reversal.
+"""Symmetry gates: ``decompose`` commutes with a global sign flip, with
+a relabelling of the nodes and with time reversal, and without graphs
+also with scaling by a power of two and a per-node sign flip.
 
 The inputs are seeded planted signals, so every run of the suite sees the
 same cases. A sign flip is exact in floating point, since negation
@@ -13,9 +13,15 @@ the four configs below, the largest errors were 3.2e-14 for the modes and
 Without graphs every step is linear per coefficient with gains that all
 nodes share and that depend on the input only through ``sum_n x_c^2``, so
 scaling by ``2**k`` (no overflow or underflow) and a per-node sign flip
-are exact. Time reversal changes each coefficient's phase but not its
-power, so the reversed modes are held to 1e-14 of the input's largest
-sample; over the seeds below the largest error was 2.2e-15.
+are exact.
+
+Time reversal changes each coefficient's phase but not its power, nor any
+pairwise distance between nodes, so the reversed modes are held to 1e-14
+of the input's largest sample and, with graphs, the weights to 1e-12 of
+the largest weight, as for a relabelling. Over the seeds below, with
+mirroring on and off, the largest errors were 2.2e-15 for the modes
+without graphs, and 1.7e-15 for the modes and 6.1e-14 for the weights at
+``beta = 0.1``; every iteration count matched.
 """
 
 import functools
@@ -95,6 +101,18 @@ class TestSymmetry:
                                - w[np.ix_(perm, perm)])
                 assert error.max() <= 1e-12 * w.max()
 
+    def test_time_reversal_reverses_the_modes(self, seed, name):
+        x = planted(seed)
+        base = unchanged(seed, name)
+        reversed_run = run(x[:, ::-1].copy(), CONFIGS[name])
+        assert reversed_run.iterations == base.iterations
+        for mode, other in zip(base.modes, reversed_run.modes):
+            error = np.abs(other.mode_samples - mode.mode_samples[:, ::-1])
+            assert error.max() <= 1e-14 * np.abs(x).max()
+            if CONFIGS[name].beta > 0:
+                error = np.abs(other.edge_weights - mode.edge_weights)
+                assert error.max() <= 1e-12 * mode.edge_weights.max()
+
 
 @pytest.mark.parametrize("name", MVMD)
 @pytest.mark.parametrize("seed", SEEDS)
@@ -117,12 +135,3 @@ class TestMVMDSymmetry:
         assert flipped.iterations == base.iterations
         for mode, other in zip(base.modes, flipped.modes):
             assert np.array_equal(other.mode_samples, signs * mode.mode_samples)
-
-    def test_time_reversal_reverses_the_modes(self, seed, name):
-        x = planted(seed)
-        base = unchanged(seed, name)
-        reversed_run = run(x[:, ::-1].copy(), CONFIGS[name])
-        assert reversed_run.iterations == base.iterations
-        for mode, other in zip(base.modes, reversed_run.modes):
-            error = np.abs(other.mode_samples - mode.mode_samples[:, ::-1])
-            assert error.max() <= 1e-14 * np.abs(x).max()
