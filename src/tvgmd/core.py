@@ -82,7 +82,7 @@ class DecompositionConfig:
     the stop rule ends the run, so reconstruction is not exact: on the
     clean paper preset at the default ``epsilon``, ``tau = 0.1`` leaves a
     largest residual of 5.9e-4 of the largest sample at ``beta = 0`` and
-    6.3e-4 at ``beta = 0.1`` (6.3e-2 at ``tau = 0``); ROADMAP item 4 plans
+    6.2e-4 at ``beta = 0.1`` (6.3e-2 at ``tau = 0``); ROADMAP item 4 plans
     a stop rule on the residual. The loop stops when ``sum_k ||g_k' -
     g_k||^2 / ||g_k||^2``, each mode's squared change over its previous
     energy with the norms taken over all nodes, falls below ``epsilon``, or

@@ -8,10 +8,11 @@ iteration per :meth:`_Loop.step`, which runs in order: per-mode per-node
 spectral updates at the current center frequencies (mode by mode, so
 later modes see the earlier modes' fresh spectra), the center-frequency
 updates, one graph-smoothing solve for all modes against the previous
-iteration's graphs, re-learning every mode's graph from its new pairwise
-distances in one lockstep learner call, the dual ascent and the change,
-and returns the iteration's snapshot. Smoothing mixes nodes and the
-transform runs along time, so the smoothing solve applies to the
+iteration's graphs, the over-relaxation of the smoothed modes once the
+loop is in its linear tail, re-learning every mode's graph from its new
+pairwise distances in one lockstep learner call, the dual ascent and the
+change, and returns the iteration's snapshot. Smoothing mixes nodes and
+the transform runs along time, so the smoothing solve applies to the
 coefficient rows directly, and by Parseval the distances of the rows
 scaled by ``sqrt(weights)`` are the time-domain distances. Around each
 step, :func:`decompose` applies the stop rule and sets the next graph
@@ -41,6 +42,23 @@ from the objective the learner ends that mode's solve with. All K modes'
 gains come from one :func:`~tvgmd.spectral.wiener_weights` call. The
 loop always holds the duals; with ``tau = 0`` they stay zero.
 
+Near its fixed point the loop contracts linearly: on the clean preset
+each of its last 22 iterations shrinks the change 2.5- to 2.9-fold. There
+it is over-relaxed, the Krasnosel'skii-Mann iteration that Eckstein &
+Bertsekas (Math. Programming 1992) apply to ADMM: once the previous
+iteration's change is below ``_RELAX_BELOW``, each iteration's finished
+modes (the smoothed modes with graphs, the gains without, after the
+centers are updated from the sweep's spectra) become ``g_prev + _RELAX *
+(g - g_prev)``, in place, before their energy, distances or graphs are
+formed. That is safe for two reasons. A fixed point of the plain
+iteration is one of the relaxed iteration too, and the other way round,
+so the stop rule ends the run at the same point: at ``epsilon = 1e-16``
+the relaxed and plain modes agree within 2e-8 of max|x|. And the gate
+keeps the early iterations as they were, while the centers and graphs
+are still moving far; relaxing those moved one 6 dB run to another
+stationary point. The change the stop rule reads is the relaxed step,
+``_RELAX`` times the plain one, so the rule is no looser.
+
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline. Every step is
 then linear per coefficient with factors that all nodes share, so each
@@ -62,9 +80,11 @@ and the next iterate, since the sweep writes the next modes into
 ``spare`` and the change is formed in the previous ``g`` after smoothing;
 smoothing makes one more, and leaves the buffer the sweep wrote free for
 the squared modes and then the distances' weighted modes, so no other
-(K, N, P) array is allocated per iteration. It also keeps two ``(N, P)``
-arrays, the input coefficients ``x_c`` and ``power``, which step (2)
-squares each mode into, and a third, ``lam``, for the duals. Without
+(K, N, P) array is allocated per iteration; the over-relaxation runs in
+place on the buffer that smoothing (or, without graphs, the sweep) wrote.
+It also keeps two ``(N, P)`` arrays, the input coefficients ``x_c`` and
+``power``, which step (2) squares each mode into, and a third, ``lam``,
+for the duals. Without
 graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
 iteration's per-mode ``energy`` serves as the next iteration's
 denominators, so no iterate is copied or squared twice. When the loop
@@ -111,6 +131,18 @@ from .spectral import (
 # iterations of each other; 1.0 let the 6 dB seed-0 run take 37 more.
 _LOOSEST = 0.1
 
+# Over-relaxation of the loop's linear tail: once the previous iteration's
+# change is below _RELAX_BELOW, each iteration's finished modes step
+# _RELAX times as far from the previous ones. On the clean preset this
+# took 36 iterations to 26 and 210 Newton steps to 179, and 6 dB seeds 0-9
+# to 19-32% fewer iterations, each to within 2e-6 of max|x| of the
+# unrelaxed loop's fixed point. Relaxing from the first iteration (1.1 or
+# 1.5) moved 6 dB seed 1 to another stationary point, 8.5e-3 of max|x|
+# away; gated, 1.8 took 52 iterations on the clean preset and 2.0 did not
+# converge in 2000.
+_RELAX = 1.5
+_RELAX_BELOW = 0.1
+
 
 def _graph_tolerance(rel_change: float, config: DecompositionConfig) -> float:
     """KKT tolerance of the graph solves after an iteration that ended
@@ -120,6 +152,15 @@ def _graph_tolerance(rel_change: float, config: DecompositionConfig) -> float:
     if rel_change < config.epsilon:
         return config.graph_epsilon
     return max(config.graph_epsilon, min(_LOOSEST, math.sqrt(rel_change)))
+
+
+def _overflowed(iteration: int) -> NonFiniteInputError:
+    """The error of a run whose state stopped being finite, which only an
+    input whose squares overflow brings about."""
+    return NonFiniteInputError(
+        f"the modes' energy overflowed in iteration {iteration}: "
+        "the input's scale is too large; rescale the samples"
+    )
 
 
 def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
@@ -160,6 +201,13 @@ def _sweep(g, x, lam, gains, blocks, out):
             work += half_lam
             new = np.multiply(work, gain, out=out[mode, rows])
             running_sum += np.subtract(new, old[mode], out=work)
+
+
+def _over_relax(g, g_prev) -> None:
+    """``g <- g_prev + _RELAX * (g - g_prev)``, in place."""
+    g -= g_prev
+    g *= _RELAX
+    g += g_prev
 
 
 def _dual_step(g, x, lam, tau, weights) -> float:
@@ -228,8 +276,10 @@ class _Loop:
     ``grid`` and ``weights`` the frequency and energy weight of each
     coefficient. ``edge_w`` holds each mode's edge weights, and
     ``graph_f`` holds each graph's objective as the learner left it,
-    ``energy`` each mode's energy, and ``graph_tol`` the tolerance of the
-    next iteration's graph solves (``None`` without graphs).
+    ``energy`` each mode's energy, ``rel_change`` the last iteration's
+    change, which gates the over-relaxation, and ``graph_tol`` the
+    tolerance of the next iteration's graph solves (``None`` without
+    graphs).
     """
 
     def __init__(self, x: np.ndarray, config: DecompositionConfig):
@@ -260,30 +310,53 @@ class _Loop:
         self.graph_f = np.zeros(k)
         self.graph_tol = (max(config.graph_epsilon, _LOOSEST)
                           if config.beta > 0 else None)
+        self.rel_change = math.inf
 
     def step(self, iteration: int) -> IterationSnapshot:
         """Run one iteration and return its snapshot."""
         config = self.config
-        # (1) spectral sweep, into the spare buffer
-        gains = wiener_weights(self.grid, self.omegas[:, None], config.alpha)
+        relax = self.rel_change < _RELAX_BELOW
         g_prev, g = self.g, self.spare
-        _sweep(g_prev, self.data, self.lam, gains, self.blocks, out=g)
+        # An input whose squares overflow turns the centers and the
+        # distances non-finite here; the run then ends below, before the
+        # learner, or on its non-finite change, so numpy's warnings on the
+        # way are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (1) spectral sweep, into the spare buffer
+            gains = wiener_weights(self.grid, self.omegas[:, None],
+                                   config.alpha)
+            _sweep(g_prev, self.data, self.lam, gains, self.blocks, out=g)
+            if config.beta > 0:
+                # (2) center frequencies from the fresh spectra
+                _update_centers(self.omegas, (np.square(mode, out=self.power)
+                                              for mode in g), self.grid)
+                # (3) smooth along the previous graphs, all modes in one
+                # solve, and relax the smoothed modes; the sweep's buffer is
+                # free from here on, and takes the squares and then the
+                # weighted modes
+                g = geodesic_update(g, self.edge_w, config.beta)
+                if relax:
+                    _over_relax(g, g_prev)
+                mode_power = np.square(g, out=self.spare).sum(axis=1)
+                zs = pairwise_distances(
+                    np.multiply(g, self.root_weights, out=self.spare),
+                    normalize=config.normalize_distances,
+                )
+            else:
+                # (2) center frequencies from the fresh spectra, then relax
+                # the gains
+                _update_centers(self.omegas,
+                                np.square(g[:, 0]) * self.node_power,
+                                self.grid)
+                if relax:
+                    _over_relax(g, g_prev)
+                mode_power = np.square(g[:, 0]) * self.node_power
 
         graph_steps, graph_converged = (), ()
         if config.beta > 0:
-            # (2) center frequencies from the fresh spectra
-            _update_centers(self.omegas, (np.square(mode, out=self.power)
-                                          for mode in g), self.grid)
-            # (3) smooth along the previous graphs, all modes in one solve;
-            # the sweep's buffer is free from here on, and takes the
-            # squares and then the weighted modes
-            g = geodesic_update(g, self.edge_w, config.beta)
-            mode_power = np.square(g, out=self.spare).sum(axis=1)
+            if not np.all(np.isfinite(zs)):
+                raise _overflowed(iteration)
             # (4) re-learn every mode's graph from its new distances
-            zs = pairwise_distances(
-                np.multiply(g, self.root_weights, out=self.spare),
-                normalize=config.normalize_distances,
-            )
             self.edge_w, steps, solved = learn_graph_batch(
                 zs,
                 config.beta,
@@ -295,10 +368,6 @@ class _Loop:
             )
             graph_steps = tuple(int(s) for s in steps)
             graph_converged = tuple(bool(c) for c in solved)
-        else:
-            # (2) center frequencies from the fresh spectra
-            mode_power = np.square(g[:, 0]) * self.node_power
-            _update_centers(self.omegas, mode_power, self.grid)
 
         # (5) dual ascent
         fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights)
@@ -310,9 +379,10 @@ class _Loop:
                   * self.node_power).sum(axis=1)
         prev, self.energy = self.energy, mode_power.sum(axis=1)
         self.g, self.spare = g, g_prev
+        self.rel_change = _relative_change(change, prev)
         return IterationSnapshot(
             iteration=iteration,
-            rel_change=_relative_change(change, prev),
+            rel_change=self.rel_change,
             omegas=tuple(float(o) for o in self.omegas),
             objective=_objective(config, self.omegas, self.grid,
                                  self.weights, mode_power, fit, self.graph_f),
@@ -337,10 +407,10 @@ def decompose(
     The config checked itself when it was built. The signal needs at least
     2 nodes and 4 samples (else :class:`BadDimensionsError`) and finite
     samples only (else :class:`NonFiniteInputError`). Finite samples whose
-    squares overflow raise :class:`NonFiniteInputError` at the first
-    iteration whose change is not finite; with graphs the learner's
-    :class:`DegenerateInputError` on the overflowing distances may come
-    first.
+    squares overflow raise :class:`NonFiniteInputError` too, naming the
+    input's scale, at the first iteration whose pairwise distances (with
+    graphs, before the learner sees them) or change (without) are not
+    finite; numpy warns of none of the infinities on the way.
     """
     x = signal.samples
     n, t = x.shape
@@ -357,10 +427,7 @@ def decompose(
         trace.append(loop.step(iteration))
         rel_change = trace[-1].rel_change
         if not math.isfinite(rel_change):
-            raise NonFiniteInputError(
-                f"the modes' energy overflowed in iteration {iteration}: "
-                "the input's scale is too large; rescale the samples"
-            )
+            raise _overflowed(iteration)
         # a run ends only on graphs solved to graph_epsilon, and counts as
         # converged only if every graph solve in it met its tolerance
         if rel_change < config.epsilon and (

@@ -23,7 +23,13 @@ import numpy as np
 import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
-from tvgmd.decomposer import _LOOSEST, _initial_omegas, decompose
+from tvgmd.decomposer import (
+    _LOOSEST,
+    _RELAX,
+    _RELAX_BELOW,
+    _initial_omegas,
+    decompose,
+)
 from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
@@ -131,12 +137,17 @@ def reference_decompose(signal, config):
     # previous relative step clipped to [graph_epsilon, loosest], and
     # graph_epsilon once the stop test has passed
     graph_tol = max(config.graph_epsilon, _LOOSEST)
+    rel_change = np.inf
     trace = []
     converged = False
     graphs_solved = True
     iteration = 0
     while iteration < config.max_iter:
         iteration += 1
+        # once the previous change is small, the finished modes (the
+        # sweep's without graphs, the smoothed ones with graphs) step
+        # _RELAX times as far from the previous ones
+        relax = rel_change < _RELAX_BELOW
         g_prev = g_hat.copy()
         running_sum = g_hat.sum(axis=0)
         for mode in range(k):
@@ -153,6 +164,10 @@ def reference_decompose(signal, config):
                 pass
         if config.beta > 0:
             smoothed = geodesic_update(to_time(g_hat), edge_w, config.beta)
+            g_hat = to_spectra(smoothed)
+            if relax:
+                g_hat = g_prev + _RELAX * (g_hat - g_prev)
+                smoothed = to_time(g_hat)
             zs = pairwise_distances(
                 smoothed, normalize=config.normalize_distances
             )
@@ -165,7 +180,8 @@ def reference_decompose(signal, config):
                 eps=graph_tol,
             )
             graphs_solved &= bool(solved.all())
-            g_hat = to_spectra(smoothed)
+        if relax and config.beta == 0:
+            g_hat = g_prev + _RELAX * (g_hat - g_prev)
         if config.tau != 0.0:
             lam_hat = lam_hat + config.tau * (x_hat - g_hat.sum(axis=0))
         # per mode, norms over all nodes; a mode without previous energy
