@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import DecompositionConfig, OMEGA_INIT_CHOICES
 from .decomposer import decompose
-from .errors import DegenerateModeError, TvgmdError
+from .errors import TvgmdError
 from .graph_ops import edge_pairs, nodes_from_edge_count
 from .io_formats import (
     read_adjacency_json,
@@ -185,9 +185,8 @@ def cmd_inspect(args) -> int:
         node_power, grid = bin_power(coefficients, grid, mirror)
         del coefficients
         power = node_power.sum(axis=0)
-        try:
-            center_norm = mean_frequency(power, grid)
-        except DegenerateModeError:
+        center_norm, empty = mean_frequency(power, grid)
+        if empty:
             concentration = 0.0
         else:
             halfwidth = max(5, int(0.02 * t_ext))

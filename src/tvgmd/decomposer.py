@@ -6,23 +6,24 @@ back once at the end; every step in between works on real arrays. The
 loop's state lives in one ``_Loop``, and :func:`decompose` steps it, one
 iteration per :meth:`_Loop.step`, which runs in order: per-mode per-node
 spectral updates at the current center frequencies (mode by mode, so
-later modes see the earlier modes' fresh spectra), the center-frequency
-updates, one graph-smoothing solve for all modes against the previous
-iteration's graphs, the over-relaxation of the smoothed modes once the
-loop is in its linear tail, re-learning every mode's graph from its new
-pairwise distances in one lockstep learner call, the dual ascent and the
-change, and returns the iteration's snapshot. Smoothing mixes nodes and
-the transform runs along time, so the smoothing solve applies to the
-coefficient rows directly, and by Parseval the distances of the rows
-scaled by ``sqrt(weights)`` are the time-domain distances. Around each
-step, :func:`decompose` applies the stop rule and sets the next graph
-tolerance. The loop stops when ``sum_k ||g_k' - g_k||^2 / ||g_k||^2``,
-each mode's squared change over its previous energy with the norms taken
-over all nodes and coefficients, drops below the tolerance: the rule of
-VMD (Dragomiretskiy & Zosso, IEEE TSP 2014) and MVMD (ur Rehman & Aftab,
-IEEE TSP 2019). The run counts as converged only if, in addition, every
-graph solve in it met its own tolerance, as the trace's
-``graph_converged`` flags record.
+later modes see the earlier modes' fresh spectra), all K center
+frequencies from one node-summed power in one
+:func:`~tvgmd.spectral.mean_frequency` call, one graph-smoothing solve
+for all modes against the previous iteration's graphs, the iteration's
+step and change, over-relaxed once the loop is in its linear tail,
+re-learning every mode's graph from its new pairwise distances in one
+lockstep learner call, and the dual ascent, and returns the iteration's
+snapshot. Smoothing mixes nodes and the transform runs along time, so the
+smoothing solve applies to the coefficient rows directly, and by Parseval
+the distances of the rows scaled by ``sqrt(weights)`` are the time-domain
+distances. Around each step, :func:`decompose` applies the stop rule and
+sets the next graph tolerance. The loop stops when
+``sum_k ||g_k' - g_k||^2 / ||g_k||^2``, each mode's squared change over
+its previous energy with the norms taken over all nodes and coefficients,
+drops below the tolerance: the rule of VMD (Dragomiretskiy & Zosso, IEEE
+TSP 2014) and MVMD (ur Rehman & Aftab, IEEE TSP 2019). The run counts as
+converged only if, in addition, every graph solve in it met its own
+tolerance, as the trace's ``graph_converged`` flags record.
 
 The graph solves are inexact early on, as in inexact ADMM (Eckstein &
 Bertsekas, Math. Programming 1992): each iteration holds its solves to a
@@ -49,15 +50,16 @@ Bertsekas (Math. Programming 1992) apply to ADMM: once the previous
 iteration's change is below ``_RELAX_BELOW``, each iteration's finished
 modes (the smoothed modes with graphs, the gains without, after the
 centers are updated from the sweep's spectra) become ``g_prev + _RELAX *
-(g - g_prev)``, in place, before their energy, distances or graphs are
-formed. That is safe for two reasons. A fixed point of the plain
-iteration is one of the relaxed iteration too, and the other way round,
-so the stop rule ends the run at the same point: at ``epsilon = 1e-16``
-the relaxed and plain modes agree within 2e-8 of max|x|. And the gate
-keeps the early iterations as they were, while the centers and graphs
-are still moving far; relaxing those moved one 6 dB run to another
-stationary point. The change the stop rule reads is the relaxed step,
-``_RELAX`` times the plain one, so the rule is no looser.
+(g - g_prev)``, in place, as ``g + (_RELAX - 1) * (g - g_prev)`` from the
+step that the change is read from, before their energy, distances or
+graphs are formed. That is safe for two reasons. A fixed point of the
+plain iteration is one of the relaxed iteration too, and the other way
+round, so the stop rule ends the run at the same point: at
+``epsilon = 1e-16`` the relaxed and plain modes agree within 2e-8 of
+max|x|. And the gate keeps the early iterations as they were, while the
+centers and graphs are still moving far; relaxing those moved one 6 dB
+run to another stationary point. The change the stop rule reads is the
+relaxed step, ``_RELAX`` times the plain one, so the rule is no looser.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline. Every step is
@@ -77,15 +79,15 @@ gives the same values as one sweep over whole arrays.
 Memory: with graphs the loop keeps two ``(K, N, P)`` mode buffers,
 ``_Loop.g`` and ``_Loop.spare``, which alternate between the previous
 and the next iterate, since the sweep writes the next modes into
-``spare`` and the change is formed in the previous ``g`` after smoothing;
+``spare`` and the step is formed in the previous ``g`` after smoothing;
 smoothing makes one more, and leaves the buffer the sweep wrote free for
-the squared modes and then the distances' weighted modes, so no other
-(K, N, P) array is allocated per iteration; the over-relaxation runs in
-place on the buffer that smoothing (or, without graphs, the sweep) wrote.
-It also keeps two ``(N, P)`` arrays, the input coefficients ``x_c`` and
-``power``, which step (2) squares each mode into, and a third, ``lam``,
-for the duals. Without
-graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
+the distances' weighted modes, so no other (K, N, P) array is allocated
+per iteration; the over-relaxation runs in place on the buffer that
+smoothing (or, without graphs, the sweep) wrote. The centers' power, the
+change and the energy are each one reduction over the modes into a
+(K, P) array, so no mode is squared into a buffer. It also keeps two
+``(N, P)`` arrays, the input coefficients ``x_c`` and the duals ``lam``.
+Without graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
 iteration's per-mode ``energy`` serves as the next iteration's
 denominators, so no iterate is copied or squared twice. When the loop
 ends, :func:`decompose` keeps the final modes' buffer and releases the
@@ -110,11 +112,7 @@ from .core import (
     IterationSnapshot,
     TimeVaryingGraphSignal,
 )
-from .errors import (
-    BadDimensionsError,
-    DegenerateModeError,
-    NonFiniteInputError,
-)
+from .errors import BadDimensionsError, NonFiniteInputError
 from .graph_learner import learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
@@ -126,10 +124,17 @@ from .spectral import (
     wiener_weights,
 )
 
-# Graph tolerance of the first iteration, and the loosest of any. On the
-# clean and 6 dB paper presets, caps from 0.01 to 0.3 end within 2
-# iterations of each other; 1.0 let the 6 dB seed-0 run take 37 more.
-_LOOSEST = 0.1
+# Graph tolerance of the first iteration, and the loosest of any, chosen by
+# lockstep learner sweeps with the relaxed loop at beta = 0.1. Clean preset,
+# caps 0.1 / 0.15 / 0.2 / 0.25 / 0.27 / 0.3 / 0.5: sweeps 83 / 73 / 71 / 68
+# / 80 / 72 / 81, Newton steps 179 / 165 / 152 / 148 / 159 / 151 / 154, 26
+# iterations each (0.24 as 0.25, 0.26 as 0.27). Summed over 6 dB seeds 0-9
+# and planted N = 32 / 64, 0.25 took 1,459 sweeps against 1,519 at 0.1
+# and 1,477 at 0.2; 6 dB seed 7 and N = 32 took one iteration more than at
+# 0.1, every other run as many, and every solve converged. 0.5 added one
+# iteration on 6 dB seeds 0 and 5; before the relaxation, 1.0 let 6 dB
+# seed 0 take 37 more.
+_LOOSEST = 0.25
 
 # Over-relaxation of the loop's linear tail: once the previous iteration's
 # change is below _RELAX_BELOW, each iteration's finished modes step
@@ -203,11 +208,27 @@ def _sweep(g, x, lam, gains, blocks, out):
             running_sum += np.subtract(new, old[mode], out=work)
 
 
-def _over_relax(g, g_prev) -> None:
-    """``g <- g_prev + _RELAX * (g - g_prev)``, in place."""
-    g -= g_prev
-    g *= _RELAX
-    g += g_prev
+def _node_power(g, node_power) -> np.ndarray:
+    """(K, P) power of each mode's coefficients summed over nodes, each
+    coefficient weighted by ``node_power``; one reduction over ``g``."""
+    power = np.einsum("knp,knp->kp", g, g)
+    power *= node_power
+    return power
+
+
+def _change(g, g_prev, relax, node_power) -> np.ndarray:
+    """The iteration's step ``g - g_prev``, formed in ``g_prev``'s buffer,
+    and, when ``relax``, the over-relaxation ``g <- g_prev + _RELAX * (g -
+    g_prev)`` as ``g += (_RELAX - 1) * step``, in place. Returns each
+    mode's squared step, the relaxed one when ``relax``, summed over all
+    nodes and coefficients."""
+    step = np.subtract(g, g_prev, out=g_prev)
+    change = _node_power(step, node_power).sum(axis=1)
+    if relax:
+        step *= _RELAX - 1.0
+        g += step
+        change *= _RELAX * _RELAX
+    return change
 
 
 def _dual_step(g, x, lam, tau, weights) -> float:
@@ -256,16 +277,6 @@ def _objective(config, omegas, grid, weights, mode_power, fit,
     return 2.0 * config.alpha * bandwidth + fit + float(graph_f.sum())
 
 
-def _update_centers(omegas, powers, grid) -> None:
-    """Step (2): each mode's center from its power; a collapsed mode keeps
-    its previous center."""
-    for mode, power in enumerate(powers):
-        try:
-            omegas[mode] = mean_frequency(power, grid)
-        except DegenerateModeError:
-            pass
-
-
 class _Loop:
     """The loop's state, and one iteration of it as :meth:`step`.
 
@@ -293,7 +304,6 @@ class _Loop:
         )
         if config.beta > 0:
             self.data, self.node_power = self.x_c, 1.0
-            self.power = np.empty_like(self.x_c)
             self.root_weights = np.sqrt(self.weights)
         else:
             # g and lam hold the gains, one row against an input of ones; a
@@ -326,31 +336,24 @@ class _Loop:
             gains = wiener_weights(self.grid, self.omegas[:, None],
                                    config.alpha)
             _sweep(g_prev, self.data, self.lam, gains, self.blocks, out=g)
+            # (2) all K centers from the fresh spectra; a mode without
+            # power keeps its center
+            mean_frequency(_node_power(g, self.node_power), self.grid,
+                           out=self.omegas)
             if config.beta > 0:
-                # (2) center frequencies from the fresh spectra
-                _update_centers(self.omegas, (np.square(mode, out=self.power)
-                                              for mode in g), self.grid)
                 # (3) smooth along the previous graphs, all modes in one
-                # solve, and relax the smoothed modes; the sweep's buffer is
-                # free from here on, and takes the squares and then the
-                # weighted modes
+                # solve; the sweep's buffer is free from here on, and takes
+                # the weighted modes
                 g = geodesic_update(g, self.edge_w, config.beta)
-                if relax:
-                    _over_relax(g, g_prev)
-                mode_power = np.square(g, out=self.spare).sum(axis=1)
+            # the step and its change, in g_prev's buffer, which becomes the
+            # next spare; relaxed once the loop is in its linear tail
+            change = _change(g, g_prev, relax, self.node_power)
+            mode_power = _node_power(g, self.node_power)
+            if config.beta > 0:
                 zs = pairwise_distances(
                     np.multiply(g, self.root_weights, out=self.spare),
                     normalize=config.normalize_distances,
                 )
-            else:
-                # (2) center frequencies from the fresh spectra, then relax
-                # the gains
-                _update_centers(self.omegas,
-                                np.square(g[:, 0]) * self.node_power,
-                                self.grid)
-                if relax:
-                    _over_relax(g, g_prev)
-                mode_power = np.square(g[:, 0]) * self.node_power
 
         graph_steps, graph_converged = (), ()
         if config.beta > 0:
@@ -372,11 +375,7 @@ class _Loop:
         # (5) dual ascent
         fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights)
 
-        # (6) per-mode change, formed in g_prev's buffer, which becomes the
-        # next spare, over the previous energy
-        diff = np.subtract(g, g_prev, out=g_prev)
-        change = (np.square(diff, out=diff).sum(axis=1)
-                  * self.node_power).sum(axis=1)
+        # (6) per-mode change over the previous energy
         prev, self.energy = self.energy, mode_power.sum(axis=1)
         self.g, self.spare = g, g_prev
         self.rel_change = _relative_change(change, prev)

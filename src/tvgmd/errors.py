@@ -21,10 +21,6 @@ class DimensionMismatchError(TvgmdError):
     """Operands do not share a consistent shape or grid."""
 
 
-class DegenerateModeError(TvgmdError):
-    """A mode spectrum is identically zero; no center frequency exists."""
-
-
 class DegenerateInputError(TvgmdError):
     """The graph-learning subproblem is ill-posed for this input."""
 

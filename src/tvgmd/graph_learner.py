@@ -75,6 +75,10 @@ def _evaluate(v, lin, gamma, n):
     return value, deg, grad, res
 
 
+# A trial that overflows has f +inf or NaN, which the line search rejects,
+# and a step that overflows leaves its row stuck, unconverged; so numpy is
+# told once per call, not once per evaluation, not to warn of them.
+@np.errstate(over="ignore", invalid="ignore")
 def learn_graph_batch(
     zs: np.ndarray,
     beta: float,
@@ -92,8 +96,10 @@ def learn_graph_batch(
     each row has its own active set and line-search step length. A row
     stops once its KKT residual is at most ``eps * max(w)``; a row
     that reaches ``max_iter`` Newton steps, or whose line search cannot
-    move, stops as it stands. Finished rows leave the batch, and every row
-    comes out bit-identical to a batch of that row alone.
+    move (a step that overflows cannot), stops as it stands. Finished rows
+    leave the batch, and every row comes out bit-identical to a batch of
+    that row alone. Trials that overflow are rejected, and numpy warns of
+    none of them.
 
     The start point changes the path, not the optimum; a warm start that
     leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge,
@@ -188,6 +194,11 @@ def learn_graph_batch(
             free &= newton[:, None]
         p = np.where(free, (edge_sums(y, n) - g) / (2.0 * gamma), p)
         newton_decrease = -(g_free * p).sum(axis=1)
+        # A step that overflowed (a non-finite entry makes the decrease
+        # non-finite too) would never pass for the same reason: its row
+        # keeps w as its only trial and stops as stuck, unconverged.
+        if not np.isfinite(newton_decrease).all():
+            p[~np.isfinite(p).all(axis=1)] = 0.0
 
         # Projected line search, each row halving its own step length from
         # the damped Newton step. The whole batch is re-evaluated every

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateModeError
-
 # Bytes of one (rows, columns) slice of a row block, so that the slices one
 # block touches stay in a core's L2 cache. Blocks hold whole rows, so every
 # slice is contiguous whatever the row count.
@@ -156,14 +154,22 @@ def wiener_weights(
     return 1.0 / (1.0 + 2.0 * alpha * (omega_grid - omega_k) ** 2)
 
 
-def mean_frequency(power: np.ndarray, omega_grid: np.ndarray) -> float:
-    """Power-weighted mean of the frequency grid; power may be any shape
-    whose last axis matches the grid.
+def mean_frequency(
+    power: np.ndarray, omega_grid: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power-weighted mean of the frequency grid along the last axis: one
+    center per row of a stack of power spectra, shape ``(..., P)`` to
+    ``(...)``; a (K, P) stack gives K centers, each bit-identical to its
+    row's own call, since every row is reduced alone.
 
-    Raises :class:`DegenerateModeError` when all power is zero; the
-    decomposer keeps the previous center in that case.
+    Returns ``(centers, empty)``, with ``centers`` written into ``out``
+    when given. ``empty`` flags the rows whose power sums to zero, which
+    have no center: their entries of ``out`` keep what they held (the
+    decomposer's previous centers), and are NaN without ``out``.
     """
-    total = float(power.sum())
-    if total <= 0.0:
-        raise DegenerateModeError("all-zero spectra have no center frequency")
-    return float((power.sum(axis=tuple(range(power.ndim - 1))) @ omega_grid) / total)
+    total = power.sum(axis=-1)
+    empty = total <= 0.0
+    centers = np.full(np.shape(total), np.nan) if out is None else out
+    np.divide(np.einsum("...p,p->...", power, omega_grid), total,
+              out=centers, where=~empty)
+    return centers, empty

@@ -30,7 +30,6 @@ from tvgmd.decomposer import (
     _initial_omegas,
     decompose,
 )
-from tvgmd.errors import DegenerateModeError
 from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.graph_ops import geodesic_update, n_edges, pairwise_distances
 from tvgmd.spectral import (
@@ -157,11 +156,8 @@ def reference_decompose(signal, config):
             )
             running_sum += updated - g_hat[mode]
             g_hat[mode] = updated
-        for mode in range(k):
-            try:
-                omegas[mode] = mean_frequency(np.abs(g_hat[mode]) ** 2, omega_grid)
-            except DegenerateModeError:
-                pass
+        mean_frequency((np.abs(g_hat) ** 2).sum(axis=1), omega_grid,
+                       out=omegas)
         if config.beta > 0:
             smoothed = geodesic_update(to_time(g_hat), edge_w, config.beta)
             g_hat = to_spectra(smoothed)

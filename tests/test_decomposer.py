@@ -51,6 +51,22 @@ class TestBasicBehavior:
         for mode in result.modes:
             assert np.allclose(mode.mode_samples, 0.0)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_modes_without_power_keep_their_centers(self, beta):
+        # a zero input leaves every mode without power in every iteration:
+        # mean_frequency flags each row, and each keeps its initial center
+        signal = TimeVaryingGraphSignal(
+            samples=np.zeros((3, 64)), sample_rate_hz=64.0
+        )
+        config = DecompositionConfig(K=3, alpha=100.0, beta=beta,
+                                     omega_init="uniform")
+        result = decompose(signal, config)
+        initial = (0.5 * np.arange(1, 4) / 4).tolist()
+        assert [list(s.omegas) for s in result.trace] == (
+            [initial] * result.iterations)
+        assert list(result.center_frequencies_hz) == [
+            64.0 * omega for omega in initial]
+
     def test_single_mode_reproduces_pure_tone(self):
         # the dual ascent polishes reconstruction slowly at leakage bins,
         # so drive the stopping rule tighter than the default here
@@ -196,7 +212,9 @@ class TestGraphPath:
         # graph_epsilon), and the trace reads each graph's objective off
         # its solve instead of evaluating it again (255 at graph_epsilon).
         # Over-relaxing the linear tail takes that to 26 iterations, 179
-        # Newton steps and 173 evaluations
+        # Newton steps and 173 evaluations, and raising the loosest early
+        # tolerance from 0.1 to 0.25 to 148 Newton steps and 133
+        # evaluations in 68 lockstep sweeps, against 83
         evaluations = []
         evaluate = graph_learner._evaluate
 
@@ -209,8 +227,8 @@ class TestGraphPath:
         solved = [ok for s in result.trace for ok in s.graph_converged]
         assert result.iterations == 26 and len(solved) == 104
         assert all(solved) and result.converged
-        assert len(evaluations) <= 178
-        assert sum(n for s in result.trace for n in s.graph_steps) <= 185
+        assert len(evaluations) <= 138
+        assert sum(n for s in result.trace for n in s.graph_steps) <= 154
 
     def test_graph_learning_recovers_coactivity(self):
         config = DecompositionConfig(
@@ -391,6 +409,24 @@ class TestAwkwardInputs:
                 decompose(signal, config)
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    def test_large_finite_distances_are_flagged_without_warnings(self,
+                                                                  preset):
+        # at 1e140 the squares and distances stay finite, so the learner
+        # runs; its trials overflow and are rejected, solves miss their
+        # tolerance, and the run reports that instead of warning
+        signal = TimeVaryingGraphSignal(samples=1e140 * preset.samples,
+                                        sample_rate_hz=preset.sample_rate_hz)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = decompose(signal, DecompositionConfig(K=4, alpha=200.0))
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not result.converged
+        assert not all(ok for s in result.trace for ok in s.graph_converged)
+        for mode in result.modes:
+            assert np.all(np.isfinite(mode.mode_samples))
+            assert np.all(np.isfinite(mode.edge_weights))
 
     def test_overflow_stops_at_the_first_non_finite_change(self, preset,
                                                            monkeypatch):

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -446,6 +447,33 @@ class TestErrorsAndWarnings:
         w_init = np.array([[1.0, bad, 1.0]])
         with pytest.raises(DegenerateInputError, match="warm start"):
             learn_graph_batch(np.ones((1, 3)), 1.0, 1.0, w_init)
+
+    def test_overflowing_trials_are_rejected_without_warnings(self):
+        # distances near the top of the float range: the products in the
+        # objective overflow, every such trial is rejected, and the rows
+        # end unconverged at finite weights, with no numpy warning
+        zs = 1e300 * np.random.default_rng(3).random((3, n_edges(6)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            w, _, converged = learn_graph_batch(zs, 0.1, 1.0,
+                                                np.zeros_like(zs))
+        assert not caught
+        assert not converged.any()
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+
+    def test_overflowing_step_stops_its_row(self):
+        # with gamma = 1e-300 the Newton step overflows to +inf; halving
+        # never makes it finite, so the row stops at its warm start,
+        # unconverged, instead of searching forever
+        zs = 1e-300 * np.random.default_rng(4).random((2, n_edges(3)))
+        w_init = np.full_like(zs, 1e-300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            w, iterations, converged = learn_graph_batch(
+                zs, 1e-300, 1e-300, w_init, max_iter=50)
+        assert not caught
+        assert not converged.any() and iterations.tolist() == [0, 0]
+        assert np.array_equal(w, w_init)
 
     def test_cap_reports_not_converged(self):
         z = rng.random((1, n_edges(4)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import decompose
-from tvgmd.errors import BadDimensionsError, DegenerateModeError
+from tvgmd.errors import BadDimensionsError
 from tvgmd.spectral import (
     bin_power,
     from_coefficients,
@@ -211,30 +211,59 @@ class TestCenterFrequency:
         bins = np.zeros(9, dtype=complex)
         bins[2] = 5.0  # omega = 2/16 = 0.125
         power = np.abs(bins) ** 2
-        assert mean_frequency(power, frequency_grid(16)) == pytest.approx(0.125)
+        center, empty = mean_frequency(power, frequency_grid(16))
+        assert center == pytest.approx(0.125) and not empty
 
     def test_symmetric_pair_averages(self):
         bins = np.zeros(21, dtype=complex)
         bins[4] = 3.0  # omega = 0.1
         bins[12] = 3.0  # omega = 0.3
         power = np.abs(bins) ** 2
-        assert mean_frequency(power, frequency_grid(40)) == pytest.approx(0.2)
+        center, _ = mean_frequency(power, frequency_grid(40))
+        assert center == pytest.approx(0.2)
 
     def test_matches_weighted_mean_oracle(self):
+        # one center per row, each the power-weighted mean of its own row
         specs = [random_spectrum(33, seed=s) for s in range(5)]
         grid = frequency_grid(64)
-        num = den = 0.0
-        for spec in specs:
+        centers, empty = mean_frequency(np.abs(np.stack(specs)) ** 2, grid)
+        assert centers.shape == empty.shape == (5,) and not empty.any()
+        for spec, center in zip(specs, centers):
+            num = den = 0.0
             for f in range(33):
                 p = abs(spec[f]) ** 2
                 num += grid[f] * p
                 den += p
-        power = np.abs(np.stack(specs)) ** 2
-        assert mean_frequency(power, grid) == pytest.approx(num / den, rel=1e-12)
+            assert center == pytest.approx(num / den, rel=1e-12)
 
-    def test_all_zero_raises_degenerate(self):
-        with pytest.raises(DegenerateModeError):
-            mean_frequency(np.zeros((2, 9)), frequency_grid(16))
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           rows=st.integers(min_value=1, max_value=6),
+           bins=st.integers(min_value=1, max_value=2048))
+    def test_stack_rows_match_single_rows(self, seed, rows, bins):
+        r = np.random.default_rng(seed)
+        power = r.standard_normal((rows, bins)) ** 2
+        grid = np.arange(bins) / (2 * bins)
+        centers, empty = mean_frequency(power, grid)
+        assert not empty.any()
+        for row, center in zip(power, centers):
+            single, _ = mean_frequency(row, grid)
+            assert center == single
+
+    def test_zero_row_is_flagged_and_keeps_its_center(self):
+        grid = frequency_grid(16)
+        power = np.zeros((3, 9))
+        power[0, 2] = power[2, 4] = 1.0
+        previous = np.array([0.3, 0.05, 0.4])
+        centers, empty = mean_frequency(power, grid, out=previous)
+        assert centers is previous
+        assert empty.tolist() == [False, True, False]
+        assert centers.tolist() == [0.125, 0.05, 0.25]
+        # without out, a row that has no center reads NaN
+        centers, empty = mean_frequency(power, grid)
+        assert np.isnan(centers[1]) and empty[1]
+        center, empty = mean_frequency(np.zeros(9), grid)
+        assert np.isnan(center) and empty
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -244,7 +273,7 @@ class TestCenterFrequency:
         support = r.choice(33, size=r.integers(1, 8), replace=False)
         bins[support] = r.standard_normal(len(support)) + 1j
         grid = frequency_grid(64)
-        omega = mean_frequency(np.abs(bins) ** 2, grid)
+        omega, _ = mean_frequency(np.abs(bins) ** 2, grid)
         assert grid[support].min() - 1e-12 <= omega <= grid[support].max() + 1e-12
 
 
