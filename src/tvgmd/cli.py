@@ -204,9 +204,7 @@ def cmd_inspect(args) -> int:
             f"  missed tolerance: {graph_solves.count(False)}"
         )
     print("mode  center_hz   band_energy  top edges (node pairs, 1-based)")
-    analyses.reverse()
-    while analyses:  # each analysis is dropped once its spectrum is written
-        k, center_hz, concentration, node_power, grid, weights = analyses.pop()
+    for k, center_hz, concentration, node_power, grid, weights in analyses:
         if has_graphs:
             rows, cols = edge_pairs(nodes_from_edge_count(weights.size))
             top = np.argsort(weights)[::-1][:5]

@@ -91,7 +91,7 @@ class DecompositionConfig:
     ``graph_epsilon`` is the KKT residual tolerance, relative to the
     largest learned weight, of the final graphs: earlier solves are held
     to the loop's relative step, ``sqrt`` of the previous iteration's
-    change clipped to ``[graph_epsilon, 0.1]``, and a run ends only on an
+    change clipped to ``[graph_epsilon, 0.25]``, and a run ends only on an
     iteration whose solves were held to ``graph_epsilon``. A run in which
     any graph solve misses its tolerance reports ``converged=False``.
     ``normalize_distances`` divides each mode's pairwise distances by their

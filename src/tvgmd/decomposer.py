@@ -13,7 +13,10 @@ for all modes against the previous iteration's graphs, the iteration's
 step and change, over-relaxed once the loop is in its linear tail,
 re-learning every mode's graph from its new pairwise distances in one
 lockstep learner call, and the dual ascent, and returns the iteration's
-snapshot. Smoothing mixes nodes and the transform runs along time, so the
+snapshot; an input whose squares overflow ends the run there, in its one
+check: the step raises :class:`~tvgmd.errors.NonFiniteInputError` once the
+iteration's change or modes' energy is not finite, before any distances
+are formed. Smoothing mixes nodes and the transform runs along time, so the
 smoothing solve applies to the coefficient rows directly, and by Parseval
 the distances of the rows scaled by ``sqrt(weights)`` are the time-domain
 distances. Around each step, :func:`decompose` applies the stop rule and
@@ -159,15 +162,6 @@ def _graph_tolerance(rel_change: float, config: DecompositionConfig) -> float:
     return max(config.graph_epsilon, min(_LOOSEST, math.sqrt(rel_change)))
 
 
-def _overflowed(iteration: int) -> NonFiniteInputError:
-    """The error of a run whose state stopped being finite, which only an
-    input whose squares overflow brings about."""
-    return NonFiniteInputError(
-        f"the modes' energy overflowed in iteration {iteration}: "
-        "the input's scale is too large; rescale the samples"
-    )
-
-
 def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
                     grid: np.ndarray, t_ext: int) -> np.ndarray:
     k = config.K
@@ -246,11 +240,8 @@ def _dual_step(g, x, lam, tau, weights) -> float:
 def _relative_change(change, prev) -> float:
     """``sum_k change_k / prev_k``, each mode's squared change over its
     previous energy, both summed over all nodes (the stopping rule of VMD
-    and MVMD). A mode without previous energy counts 1 if it moved and 0
-    if it stayed at zero. A non-finite change or previous energy, which
-    only an overflowing state has, gives NaN."""
-    if not (np.all(np.isfinite(change)) and np.all(np.isfinite(prev))):
-        return math.nan
+    and MVMD), and both finite, as the loop checks them. A mode without
+    previous energy counts 1 if it moved and 0 if it stayed at zero."""
     ratios = np.divide(change, prev, out=(change > 0).astype(float),
                        where=prev > 0)
     return float(ratios.sum())
@@ -327,10 +318,9 @@ class _Loop:
         config = self.config
         relax = self.rel_change < _RELAX_BELOW
         g_prev, g = self.g, self.spare
-        # An input whose squares overflow turns the centers and the
-        # distances non-finite here; the run then ends below, before the
-        # learner, or on its non-finite change, so numpy's warnings on the
-        # way are silenced
+        # An input whose squares overflow turns the centers, the change and
+        # the energy non-finite here; the run then ends at the check below,
+        # so numpy's warnings on the way are silenced
         with np.errstate(over="ignore", invalid="ignore"):
             # (1) spectral sweep, into the spare buffer
             gains = wiener_weights(self.grid, self.omegas[:, None],
@@ -349,17 +339,26 @@ class _Loop:
             # next spare; relaxed once the loop is in its linear tail
             change = _change(g, g_prev, relax, self.node_power)
             mode_power = _node_power(g, self.node_power)
-            if config.beta > 0:
-                zs = pairwise_distances(
-                    np.multiply(g, self.root_weights, out=self.spare),
-                    normalize=config.normalize_distances,
-                )
+            energy = mode_power.sum(axis=1)
+        # The run's one overflow exit. Every coefficient's energy weight is
+        # at most 1/2 (1/(2T) mirrored, at most 2/T without, and T >= 4), so
+        # each pairwise distance is at most its mode's energy, and a
+        # normalized one at most M: finite energy keeps the distances the
+        # learner sees finite. ``prev``, the relative change's denominator,
+        # is the previous iteration's checked energy.
+        if not (np.all(np.isfinite(change)) and np.all(np.isfinite(energy))):
+            raise NonFiniteInputError(
+                f"the modes' energy overflowed in iteration {iteration}: "
+                "the input's scale is too large; rescale the samples"
+            )
 
         graph_steps, graph_converged = (), ()
         if config.beta > 0:
-            if not np.all(np.isfinite(zs)):
-                raise _overflowed(iteration)
             # (4) re-learn every mode's graph from its new distances
+            zs = pairwise_distances(
+                np.multiply(g, self.root_weights, out=self.spare),
+                normalize=config.normalize_distances,
+            )
             self.edge_w, steps, solved = learn_graph_batch(
                 zs,
                 config.beta,
@@ -376,7 +375,7 @@ class _Loop:
         fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights)
 
         # (6) per-mode change over the previous energy
-        prev, self.energy = self.energy, mode_power.sum(axis=1)
+        prev, self.energy = self.energy, energy
         self.g, self.spare = g, g_prev
         self.rel_change = _relative_change(change, prev)
         return IterationSnapshot(
@@ -407,9 +406,9 @@ def decompose(
     2 nodes and 4 samples (else :class:`BadDimensionsError`) and finite
     samples only (else :class:`NonFiniteInputError`). Finite samples whose
     squares overflow raise :class:`NonFiniteInputError` too, naming the
-    input's scale, at the first iteration whose pairwise distances (with
-    graphs, before the learner sees them) or change (without) are not
-    finite; numpy warns of none of the infinities on the way.
+    input's scale, at the first iteration whose change or modes' energy is
+    not finite, before any distances are formed; numpy warns of none of
+    the infinities on the way.
     """
     x = signal.samples
     n, t = x.shape
@@ -425,8 +424,6 @@ def decompose(
     for iteration in range(1, config.max_iter + 1):
         trace.append(loop.step(iteration))
         rel_change = trace[-1].rel_change
-        if not math.isfinite(rel_change):
-            raise _overflowed(iteration)
         # a run ends only on graphs solved to graph_epsilon, and counts as
         # converged only if every graph solve in it met its tolerance
         if rel_change < config.epsilon and (

@@ -15,8 +15,8 @@ log barrier, so it is self-concordant, and the line search starts where
 the damped Newton method does (Boyd & Vandenberghe, Convex Optimization,
 9.6.4): at step length ``1/(1 + lambda)``, ``lambda`` the free-edge Newton
 decrement, while ``lambda`` exceeds ``(1 - 2*alpha)/4`` for the Armijo
-fraction ``alpha``, and at the full step below that; it halves from there.
-The free-edge Newton system
+fraction ``alpha``, and at the full step below that; it halves from there,
+at most 128 times. The free-edge Newton system
 ``(2*gamma*I + Q_F' diag(deg^-2) Q_F) p = -grad_F`` is solved in node space
 by the Woodbury identity: one N x N SPD solve plus O(M) work per step.
 Where ``gamma * deg^2`` drowns in rounding, that N x N matrix can be
@@ -39,6 +39,7 @@ np.zeros((1, M)))``.
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import numpy as np
 
@@ -50,35 +51,38 @@ _ROUNDING = 1e-13  # relative objective change below which f cannot judge a step
 _ACTIVE_CAP = 1e-3  # largest weight an edge may have and still be held at zero
 # Newton decrement below which the full step is the first trial (B&V 9.6.4)
 _DAMPED = (1.0 - 2.0 * _ARMIJO) / 4.0
+# Halvings after which a line search tries the zero step, which stops its
+# row as stuck. The longest ladder that passed on the clean preset, 6 dB
+# seeds and inputs scaled by up to 1e6 was 73 halvings; a step whose every
+# trial overflows would otherwise halve about 1,000 times, until it
+# underflows. Steps that pass only after longer ladders, seen at gamma =
+# 1e-300 or distances near 1e100 (up to 491 halvings), stop their rows
+# unconverged instead.
+_MAX_HALVINGS = 128
 
 
 def _evaluate(v, lin, gamma, n):
     """Objective, degrees, gradient and KKT residual of each row of ``v``.
 
-    ``lin`` holds the rows' ``2*beta*z``. A row with a nonpositive degree
-    gets value and residual ``+inf``; its gradient is meaningless.
+    ``lin`` holds the rows' ``2*beta*z``. The log barrier judges a row with
+    a zero degree itself: ``-log 0 = +inf`` makes its value ``+inf``, and
+    ``1/0 = +inf`` its residual (the caller silences numpy's warnings).
     """
     deg = edge_degrees(v, n)
-    bad = None
-    safe = deg
-    if deg.min() <= 0.0:
-        bad = deg.min(axis=1) <= 0.0
-        safe = np.where(bad[:, None], 1.0, deg)  # keeps 1/deg and log finite
-    grad = lin + 2.0 * gamma * v - edge_sums(1.0 / safe, n)
+    grad = lin + 2.0 * gamma * v - edge_sums(1.0 / deg, n)
     value = (
         (lin * v).sum(axis=1) + gamma * (v * v).sum(axis=1)
-        - np.log(safe).sum(axis=1)
+        - np.log(deg).sum(axis=1)
     )
     res = np.abs(v - np.maximum(v - grad, 0.0)).max(axis=1)
-    if bad is not None:
-        value[bad] = res[bad] = np.inf
     return value, deg, grad, res
 
 
-# A trial that overflows has f +inf or NaN, which the line search rejects,
-# and a step that overflows leaves its row stuck, unconverged; so numpy is
-# told once per call, not once per evaluation, not to warn of them.
-@np.errstate(over="ignore", invalid="ignore")
+# A trial that overflows, or leaves a node without degree, has f +inf or
+# NaN, which the line search rejects, and a step that overflows leaves its
+# row stuck, unconverged; so numpy is told once per call, not once per
+# evaluation, not to warn of them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def learn_graph_batch(
     zs: np.ndarray,
     beta: float,
@@ -94,12 +98,12 @@ def learn_graph_batch(
     started from its own warm start. Every sweep takes one Newton step on
     each unfinished row, solving their N x N systems in one batched call;
     each row has its own active set and line-search step length. A row
-    stops once its KKT residual is at most ``eps * max(w)``; a row
-    that reaches ``max_iter`` Newton steps, or whose line search cannot
-    move (a step that overflows cannot), stops as it stands. Finished rows
-    leave the batch, and every row comes out bit-identical to a batch of
-    that row alone. Trials that overflow are rejected, and numpy warns of
-    none of them.
+    stops once its KKT residual is at most ``eps * max(w)``; a row that
+    reaches ``max_iter`` Newton steps, or whose line search cannot move (a
+    step that overflows cannot, nor one still rejected after 128
+    halvings), stops as it stands. Finished rows leave the batch, and
+    every row comes out bit-identical to a batch of that row alone. Trials
+    that overflow are rejected, and numpy warns of none of them.
 
     The start point changes the path, not the optimum; a warm start that
     leaves a node with degree zero is shifted up by ``1/(N-1)`` per edge,
@@ -145,11 +149,9 @@ def learn_graph_batch(
     live = np.arange(n_prob)  # batch row of each unfinished problem
     lin = 2.0 * beta * zs
     w = np.maximum(w_inits, 0.0)
+    # every node degree of a warm start with an isolated node becomes >= 1
+    w[edge_degrees(w, n).min(axis=1) <= 0.0] += 1.0 / (n - 1)
     f, deg, g, res = _evaluate(w, lin, gamma, n)
-    isolated = deg.min(axis=1) <= 0.0
-    if isolated.any():
-        w[isolated] += 1.0 / (n - 1)  # every node degree becomes at least 1
-        f, deg, g, res = _evaluate(w, lin, gamma, n)
     # A row whose line search cannot move stops at the next sweep's top,
     # its step not counted; its trial is its w, so ``met`` stays False.
     stuck = np.zeros(n_prob, dtype=bool)
@@ -201,13 +203,14 @@ def learn_graph_batch(
             p[~np.isfinite(p).all(axis=1)] = 0.0
 
         # Projected line search, each row halving its own step length from
-        # the damped Newton step. The whole batch is re-evaluated every
+        # the damped Newton step, and after _MAX_HALVINGS trying the zero
+        # step, whose trial is w. The whole batch is re-evaluated every
         # round; a row that has stopped searching keeps its step length, so
         # it recomputes its own trial.
         lam = np.sqrt(np.maximum(newton_decrease, 0.0))
         a = np.where(newton & (lam > _DAMPED), 1.0 / (1.0 + lam), 1.0)
         searching = np.ones(len(w), dtype=bool)
-        while True:
+        for halvings in itertools.count(1):
             trial = np.maximum(w + a[:, None] * p, 0.0)
             stuck = (trial == w).all(axis=1)  # no representable step remains
             f_t, deg_t, g_t, res_t = _evaluate(trial, lin, gamma, n)
@@ -225,6 +228,6 @@ def learn_graph_batch(
             searching &= ~(stuck | accept)
             if not searching.any():
                 break
-            a[searching] *= 0.5
+            a[searching] *= 0.5 if halvings <= _MAX_HALVINGS else 0.0
         w, f, deg, g, res = trial, f_t, deg_t, g_t, res_t
     return out_w, iters, done

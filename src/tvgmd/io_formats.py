@@ -168,13 +168,7 @@ def read_matrix_csv(path: str | os.PathLike, header: bool = False) -> np.ndarray
         rows = list(_parse_rows(handle, path.name, header))
     if not rows:
         raise EmptyFileError(f"{path.name}: no data rows")
-    # The last line's text went with the parser's frame, and each row is
-    # dropped once copied, so no more than the rows and the matrix are
-    # ever held.
-    matrix = np.empty((len(rows), rows[0].size))
-    for i in range(len(rows)):
-        matrix[i], rows[i] = rows[i], None
-    return matrix
+    return np.vstack(rows)
 
 
 def read_signal_csv(

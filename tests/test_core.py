@@ -201,6 +201,9 @@ class TestValidateConfig:
             {"alpha": 1.0, "omega_init": "random"},
             {"alpha": 1.0, "max_iter": 0},
             {"alpha": 1.0, "beta": 0.5, "gamma": 0.0},
+            {"alpha": 1.0, "beta": 0.0, "gamma": -1.0},
+            {"alpha": 1.0, "graph_max_iter": 0},
+            {"alpha": 1.0, "graph_epsilon": 0.0},
         ]
         + [
             {"alpha": 1.0, name: value}
@@ -236,13 +239,22 @@ class TestDomainTypes:
                            match="sample_rate_hz must be finite and positive"):
             TimeVaryingGraphSignal(samples=np.zeros((2, 4)), sample_rate_hz=rate)
 
-    def test_negative_edge_weights_rejected(self):
-        with pytest.raises(BadParameterError):
-            GraphMode(
-                mode_samples=np.zeros((3, 8)),
-                center_freq_hz=1.0,
-                edge_weights=np.array([0.5, -0.1, 0.2]),
-            )
+    @pytest.mark.parametrize("make, error", [
+        (lambda: GraphMode(np.zeros((3, 8)), 1.0, np.array([0.5, -0.1, 0.2])),
+         BadParameterError),
+        (lambda: GraphMode(np.zeros((3, 8)), 1.0, np.array([0.5, np.inf, 0.2])),
+         NonFiniteInputError),
+        (lambda: GraphMode(np.zeros((3, 8)), -1.0, np.empty(0)),
+         BadParameterError),
+        (lambda: GraphMode(np.full((3, 8), np.nan), 1.0, np.empty(0)),
+         NonFiniteInputError),
+        (lambda: GraphMode(np.zeros(8), 1.0, np.empty(0)), BadDimensionsError),
+        (lambda: TimeVaryingGraphSignal(np.zeros(8), 1.0), BadDimensionsError),
+    ], ids=["negative_weight", "non_finite_weight", "negative_center",
+            "non_finite_samples", "mode_not_2d", "signal_not_2d"])
+    def test_bad_fields_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
 
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgmd.errors import DegenerateInputError
+from tvgmd.errors import DegenerateInputError, DimensionMismatchError
 from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.graph_ops import n_edges
 
@@ -432,9 +432,18 @@ class TestSolverProperties:
 
 
 class TestErrorsAndWarnings:
-    def test_degenerate_gamma_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            learn_graph_batch(np.ones((1, 3)), 1.0, 0.0, np.zeros((1, 3)))
+    @pytest.mark.parametrize("zs, beta, gamma, w_init, error", [
+        (np.ones((1, 3)), 1.0, 0.0, np.zeros((1, 3)), DegenerateInputError),
+        (np.ones((1, 3)), -1.0, 1.0, np.zeros((1, 3)), DegenerateInputError),
+        (-np.ones((1, 3)), 1.0, 1.0, np.zeros((1, 3)), DegenerateInputError),
+        (np.ones((1, 0)), 1.0, 1.0, np.zeros((1, 0)), DegenerateInputError),
+        (np.ones((1, 3)), 1.0, 1.0, np.zeros((2, 3)),
+         DimensionMismatchError),
+    ], ids=["gamma_zero", "beta_negative", "distance_negative", "no_edges",
+            "shape_mismatch"])
+    def test_degenerate_inputs_rejected(self, zs, beta, gamma, w_init, error):
+        with pytest.raises(error):
+            learn_graph_batch(zs, beta, gamma, w_init)
 
     def test_non_finite_distances_rejected(self):
         with pytest.raises(DegenerateInputError):

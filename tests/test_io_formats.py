@@ -304,9 +304,18 @@ class TestAdjacencyJson:
                 ' "weights": ["a", 2, 3]}',
                 "adjacency_2.json: bad weights: ",
             ),
+            (
+                '{"n_nodes": 3, "edge_order": "lower", "weights": [1, 2, 3]}',
+                "adjacency_2.json: unknown edge order 'lower'",
+            ),
+            (
+                '{"n_nodes": 4, "edge_order": "upper-triangular-row-major",'
+                ' "weights": [1, 2, 3]}',
+                "adjacency_2.json: weight count does not match n_nodes",
+            ),
         ],
         ids=["malformed", "not_an_object", "no_weights", "no_n_nodes",
-             "non_numeric"],
+             "non_numeric", "edge_order", "count_mismatch"],
     )
     def test_corrupt_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "adjacency_2.json"
