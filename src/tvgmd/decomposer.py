@@ -6,15 +6,18 @@ back once at the end; every step in between works on real arrays. The
 loop's state lives in one ``_Loop``, and :func:`decompose` steps it, one
 iteration per :meth:`_Loop.step`, which runs in order: per-mode per-node
 spectral updates at the current center frequencies (mode by mode, so
-later modes see the earlier modes' fresh spectra), all K center
+later modes see the earlier modes' fresh spectra, and read from the
+residual ``x - sum_k g_k`` that the previous dual step left, carried
+through the sweep, so the modes are never summed there), all K center
 frequencies from one node-summed power in one
 :func:`~tvgmd.spectral.mean_frequency` call, one graph-smoothing solve
 for all modes against the previous iteration's graphs, the iteration's
 step and change, over-relaxed once the loop is in its linear tail,
 re-learning every mode's graph from its new pairwise distances in one
-lockstep learner call, and the dual ascent, and returns the iteration's
-snapshot; an input whose squares overflow ends the run there, in its one
-check: the step raises :class:`~tvgmd.errors.NonFiniteInputError` once the
+lockstep learner call, and the dual ascent, which writes the residual
+the next sweep starts from, and returns the iteration's snapshot; an
+input whose squares overflow ends the run there, in its one check: the
+step raises :class:`~tvgmd.errors.NonFiniteInputError` once the
 iteration's change or modes' energy is not finite, before any distances
 are formed. Smoothing mixes nodes and the transform runs along time, so the
 smoothing solve applies to the coefficient rows directly, and by Parseval
@@ -88,16 +91,18 @@ the distances' weighted modes, so no other (K, N, P) array is allocated
 per iteration; the over-relaxation runs in place on the buffer that
 smoothing (or, without graphs, the sweep) wrote. The centers' power, the
 change and the energy are each one reduction over the modes into a
-(K, P) array, so no mode is squared into a buffer. It also keeps two
-``(N, P)`` arrays, the input coefficients ``x_c`` and the duals ``lam``.
-Without graphs the loop holds ``x_c`` and a few (K, P) arrays. Each
-iteration's per-mode ``energy`` serves as the next iteration's
-denominators, so no iterate is copied or squared twice. When the loop
-ends, :func:`decompose` keeps the final modes' buffer and releases the
-``_Loop`` with every other array. Each mode goes back to the time domain
-one row block at a time, into the first T of its own P >= T columns, and
-the result's modes share that buffer read-only; only the residual is a
-new ``(N, T)`` array. Without graphs the traced peak is about 1.44
+(K, P) array, so no mode is squared into a buffer. It also keeps three
+``(N, P)`` arrays: the input coefficients ``x_c``, the duals ``lam`` and
+the residual ``resid``. The dual step writes the residual into ``resid``
+and allocates none; the next sweep starts from it and keeps one
+block-sized temporary, its running residual. Without graphs the loop
+holds ``x_c`` and a few (K, P) arrays. Each iteration's per-mode
+``energy`` serves as the next iteration's denominators, so no iterate is
+copied or squared twice. When the loop ends, :func:`decompose` keeps the
+final modes' buffer and releases the ``_Loop`` with every other array.
+Each mode goes back to the time domain one row block at a time, into the
+first T of its own P >= T columns, and the result's modes share that
+buffer read-only; only the residual is a new ``(N, T)`` array. Without graphs the traced peak is about 1.44
 buffers at K = 4, reached as the modes are formed: their buffer, the
 input coefficients and the loop's (K, P) arrays.
 """
@@ -182,24 +187,24 @@ def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
     return np.sort(omegas)
 
 
-def _sweep(g, x, lam, gains, blocks, out):
+def _sweep(g, resid, lam, gains, blocks, out):
     """Step (1): the next modes from ``g`` into ``out``, one block of rows
-    of the input ``x`` at a time; within a block in order over k, so later
-    modes see the earlier modes' fresh spectra. ``gains`` holds one row per
-    mode. Every temporary is block-sized.
+    at a time; within a block in order over k, so later modes see the
+    earlier modes' fresh spectra. ``gains`` holds one row per mode.
+
+    The sweep carries the running residual ``r = x + lam / 2 - sum_k g_k``,
+    started from ``lam / 2 + resid`` with ``resid = x - sum_k g_k`` as the
+    dual step left it, so the modes are never summed here. Each mode's
+    Wiener numerator ``x - sum_{j != k} g_j + lam / 2`` is ``r + g_k``: the
+    mode takes ``r += old_k``, ``new_k = gain_k * r`` and ``r -= new_k``,
+    three passes over the block, and ``r`` is its one temporary.
     """
     for rows in blocks:
-        old = g[:, rows]
-        running_sum = old.sum(axis=0)
-        half_lam = lam[rows] / 2.0
-        work = np.empty_like(running_sum)
+        r = lam[rows] / 2.0
+        r += resid[rows]
         for mode, gain in enumerate(gains):
-            # numerator x - (running_sum - old) + lam / 2, formed in work
-            np.subtract(running_sum, old[mode], out=work)
-            np.subtract(x[rows], work, out=work)
-            work += half_lam
-            new = np.multiply(work, gain, out=out[mode, rows])
-            running_sum += np.subtract(new, old[mode], out=work)
+            r += g[mode, rows]
+            r -= np.multiply(r, gain, out=out[mode, rows])
 
 
 def _node_power(g, node_power) -> np.ndarray:
@@ -225,11 +230,12 @@ def _change(g, g_prev, relax, node_power) -> np.ndarray:
     return change
 
 
-def _dual_step(g, x, lam, tau, weights) -> float:
+def _dual_step(g, x, lam, tau, weights, resid) -> float:
     """Dual ascent ``lam += tau * resid`` with the residual ``resid = x -
-    sum_k g``; returns the objective's reconstruction and dual term
+    sum_k g``, written into the caller's ``resid``, where the next sweep
+    starts from it; returns the objective's reconstruction and dual term
     ``sum(weights * resid * (resid + lam))`` at the new duals."""
-    resid = np.subtract(x, g.sum(axis=0))
+    np.subtract(x, np.sum(g, axis=0, out=resid), out=resid)
     lam += tau * resid
     fit = resid + lam
     fit *= resid
@@ -273,15 +279,15 @@ class _Loop:
 
     ``g`` holds the current modes' coefficients (K, N, P), or their gains
     (K, 1, P) when ``beta = 0``, and ``spare`` the buffer the next sweep
-    writes into. ``lam`` holds the duals, shaped as ``data``, and
-    ``omegas`` the centers. ``x_c`` holds the input coefficients, and
-    ``grid`` and ``weights`` the frequency and energy weight of each
-    coefficient. ``edge_w`` holds each mode's edge weights, and
-    ``graph_f`` holds each graph's objective as the learner left it,
-    ``energy`` each mode's energy, ``rel_change`` the last iteration's
-    change, which gates the over-relaxation, and ``graph_tol`` the
-    tolerance of the next iteration's graph solves (``None`` without
-    graphs).
+    writes into. ``lam`` holds the duals and ``resid`` the residual
+    ``data - sum_k g``, both shaped as ``data``, and ``omegas`` the
+    centers. ``x_c`` holds the input coefficients, and ``grid`` and
+    ``weights`` the frequency and energy weight of each coefficient.
+    ``edge_w`` holds each mode's edge weights, and ``graph_f`` holds each
+    graph's objective as the learner left it, ``energy`` each mode's
+    energy, ``rel_change`` the last iteration's change, which gates the
+    over-relaxation, and ``graph_tol`` the tolerance of the next
+    iteration's graph solves (``None`` without graphs).
     """
 
     def __init__(self, x: np.ndarray, config: DecompositionConfig):
@@ -305,6 +311,7 @@ class _Loop:
         self.g = np.zeros((k,) + self.data.shape)
         self.spare = np.empty_like(self.g)
         self.lam = np.zeros_like(self.data)
+        self.resid = self.data.copy()  # x - sum_k g, and the modes start at 0
         self.fit_weights = self.weights * self.node_power
         self.energy = np.zeros(k)
         self.edge_w = np.zeros((k, n_edges(n)))
@@ -325,7 +332,7 @@ class _Loop:
             # (1) spectral sweep, into the spare buffer
             gains = wiener_weights(self.grid, self.omegas[:, None],
                                    config.alpha)
-            _sweep(g_prev, self.data, self.lam, gains, self.blocks, out=g)
+            _sweep(g_prev, self.resid, self.lam, gains, self.blocks, out=g)
             # (2) all K centers from the fresh spectra; a mode without
             # power keeps its center
             mean_frequency(_node_power(g, self.node_power), self.grid,
@@ -368,11 +375,12 @@ class _Loop:
                 eps=self.graph_tol,
                 objective=self.graph_f,
             )
-            graph_steps = tuple(int(s) for s in steps)
-            graph_converged = tuple(bool(c) for c in solved)
+            graph_steps = tuple(steps.tolist())
+            graph_converged = tuple(solved.tolist())
 
         # (5) dual ascent
-        fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights)
+        fit = _dual_step(g, self.data, self.lam, config.tau, self.fit_weights,
+                         self.resid)
 
         # (6) per-mode change over the previous energy
         prev, self.energy = self.energy, energy
@@ -381,7 +389,7 @@ class _Loop:
         return IterationSnapshot(
             iteration=iteration,
             rel_change=self.rel_change,
-            omegas=tuple(float(o) for o in self.omegas),
+            omegas=tuple(self.omegas.tolist()),
             objective=_objective(config, self.omegas, self.grid,
                                  self.weights, mode_power, fit, self.graph_f),
             graph_steps=graph_steps,

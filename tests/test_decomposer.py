@@ -548,6 +548,19 @@ class TestOptions:
         assert time_rel == pytest.approx(spec_rel, rel=1e-6)
 
 
+def six_op_sweep(g, x, lam, gains):
+    """The spectral sweep over whole arrays from the modes themselves: each
+    mode's numerator ``x - (running_sum - old_k) + lam / 2`` in six
+    passes, the running sum of the modes updated by ``new_k - old_k``."""
+    running_sum = g.sum(axis=0)
+    out = np.empty_like(g)
+    for mode, gain in enumerate(gains):
+        work = x - (running_sum - g[mode]) + lam / 2.0
+        out[mode] = work * gain
+        running_sum += out[mode] - g[mode]
+    return out
+
+
 class TestSweep:
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     def test_gain_sweep_matches_per_node_sweep(self, tau):
@@ -567,15 +580,53 @@ class TestSweep:
         wiener = list(rng.random((k, p)))
         out, whole = np.empty((2, k, n, p))
         out_gains = np.empty_like(gains)
+        modes = gains * x_c
+        resid = x_c - modes.sum(axis=0)
 
-        _sweep(gains * x_c, x_c, dual * x_c, wiener, blocks, out)
-        _sweep(gains * x_c, x_c, dual * x_c, wiener, [slice(None)], whole)
-        _sweep(gains, np.ones((1, p)), dual, wiener, [slice(None)],
+        _sweep(modes, resid, dual * x_c, wiener, blocks, out)
+        _sweep(modes, resid, dual * x_c, wiener, [slice(None)], whole)
+        _sweep(gains, 1.0 - gains.sum(axis=0), dual, wiener, [slice(None)],
                out_gains)
 
         assert np.array_equal(out, whole)
         assert np.abs(out_gains * x_c - out).max() <= (
             1e-14 * np.abs(x_c).max())
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_residual_sweep_matches_the_six_op_numerator(self, tau):
+        # the sweep reads the carried residual x - sum_k g over row blocks
+        # and updates it in three passes per mode; its modes must be those
+        # of the numerator formed from the modes themselves, within a few
+        # ulps of max|x|
+        rng = np.random.default_rng(5)
+        k, n, p = 4, 40, 520
+        blocks = row_blocks(n, p)
+        assert len(blocks) >= 2
+        x = rng.standard_normal((n, p))
+        g = rng.random((k, 1, p)) * x + 0.1 * rng.standard_normal((k, n, p))
+        lam = tau * rng.standard_normal((n, p))
+        wiener = rng.random((k, p))
+        out = np.empty_like(g)
+
+        _sweep(g, x - g.sum(axis=0), lam, wiener, blocks, out)
+
+        assert np.abs(out - six_op_sweep(g, x, lam, wiener)).max() <= (
+            4 * np.finfo(float).eps * np.abs(x).max())
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_carried_residual_is_the_modes_residual(self, beta, tau, mirror):
+        # the residual the loop carries from its dual step into the next
+        # sweep is, after every step, exactly the input less the modes' sum
+        config = DecompositionConfig(K=3, alpha=200.0, beta=beta, tau=tau,
+                                     mirror_extend=mirror)
+        loop = decomposer._Loop(two_tone_signal().samples, config)
+        assert np.array_equal(loop.resid, loop.data)
+        for iteration in range(1, 7):
+            loop.step(iteration)
+            assert np.array_equal(loop.resid,
+                                  loop.data - loop.g.sum(axis=0))
 
 
 def kkt_residual(w, x, beta, gamma):

@@ -39,15 +39,19 @@ def closed_form_two_nodes(z, beta, gamma):
     return (-beta * z + np.sqrt(beta**2 * z**2 + 4 * gamma)) / (2 * gamma)
 
 
-def objective(w, z, beta, gamma):
+def objective(w, z, beta, gamma, deg=None):
     """The learner's objective ``2*beta*w'z + gamma*||w||^2 - 1'log(W 1)``
     (Kalofolias, AISTATS 2016) of one edge vector, through the dense
-    adjacency ``W``; ``+inf`` when a node degree is not positive."""
-    n = int((1 + np.sqrt(1 + 8 * len(z))) // 2)
-    rows, cols = np.triu_indices(n, k=1)
-    adjacency = np.zeros((n, n))
-    adjacency[rows, cols] = adjacency[cols, rows] = w
-    deg = adjacency.sum(axis=1)
+    adjacency ``W``; ``+inf`` when a node degree is not positive. Given
+    ``deg``, the node degrees are taken from it instead: the dense
+    adjacency sums each degree in column order, and :func:`degrees` in
+    the solver's, which can round apart."""
+    if deg is None:
+        n = int((1 + np.sqrt(1 + 8 * len(z))) // 2)
+        rows, cols = np.triu_indices(n, k=1)
+        adjacency = np.zeros((n, n))
+        adjacency[rows, cols] = adjacency[cols, rows] = w
+        deg = adjacency.sum(axis=1)
     if np.any(deg <= 0):
         return np.inf
     return (np.sum(2 * beta * z * w) + gamma * np.sum(w * w)
@@ -393,24 +397,31 @@ class TestSolverProperties:
     def test_objective_output_is_the_final_objective(self):
         # the objective each row stops with is f at its returned weights:
         # a row that stops at step 0 on its own optimum, then one of each
-        # stop kind past it (converged, converged late, capped, stalled)
+        # stop kind past it (converged, converged late, capped, stalled),
+        # and last a stalled row whose node 1 degree rounds apart in the
+        # dense adjacency's order, (w01 + w12) + w13, and the solver's,
+        # (w12 + w13) + w01
         picks, zs = stop_kind_rows()
+        apart = np.random.default_rng(19).random(n_edges(4)) * 3
         w_inits = np.zeros_like(zs)
         w_opt, _, _ = learn_graph_batch(
             zs[:1], 1.0, 1.0, w_inits[:1], max_iter=STOP_CAP, eps=1e-16
         )
-        zs = np.concatenate([zs[:1], zs])
-        w_inits = np.concatenate([w_opt, w_inits])
+        zs = np.concatenate([zs[:1], zs, apart[None]])
+        w_inits = np.concatenate([w_opt, w_inits, np.zeros_like(w_opt)])
         values = np.full(len(zs), np.nan)
         w, iters, conv = learn_graph_batch(
             zs, 1.0, 1.0, w_inits, max_iter=STOP_CAP, eps=1e-16,
             objective=values,
         )
-        assert list(iters) == [0] + [steps for steps, _ in picks]
-        assert list(conv) == [True, True, True, False, False]
+        assert list(iters) == [0] + [steps for steps, _ in picks] + [8]
+        assert list(conv) == [True, True, True, False, False, False]
+        w01, _, _, w12, w13, _ = w[-1]
+        assert (w01 + w12) + w13 != (w12 + w13) + w01
         assert zs.flags.c_contiguous
         for row in range(len(zs)):
-            assert values[row] == objective(w[row], zs[row], 1.0, 1.0)
+            assert values[row] == objective(w[row], zs[row], 1.0, 1.0,
+                                            deg=degrees(w[row], 4))
 
     def test_isolated_warm_start_beside_a_valid_one(self):
         # an all-zero warm start is shifted off zero degree and evaluated
