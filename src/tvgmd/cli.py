@@ -5,10 +5,11 @@ converging (results are still written), 1 runtime or validation error,
 2 bad flags or usage.
 
 ``inspect --plot-data`` writes each mode's spectrum as the magnitudes of
-the coefficients the decomposition itself uses
-(:func:`~tvgmd.spectral.to_coefficients` folded per bin by
-:func:`~tvgmd.spectral.bin_power`): T rows with mirroring, T//2 + 1
-without. It writes ``spectrum_k.csv`` only for the modes the summary
+the coefficients the decomposition itself uses, the DCT-II of
+:func:`~tvgmd.spectral.to_coefficients`: T rows, one per bin of the
+mirror-extended series, for every bundle, whatever its summary's config
+says (bundles of older versions may carry a ``mirror_extend`` key, which
+is not read). It writes ``spectrum_k.csv`` only for the modes the summary
 lists and, like ``decompose`` with ``mode_k.csv`` and
 ``adjacency_k.json``, deletes nothing, so an earlier run's
 ``spectrum_k.csv`` for a mode the bundle lacks stays in the directory.
@@ -42,7 +43,7 @@ from .io_formats import (
     write_result,
     write_signal_csv,
 )
-from .spectral import bin_power, mean_frequency, to_coefficients
+from .spectral import mean_frequency, to_coefficients
 from .synth import SynthSpec, generate, paper_preset
 
 _PRESETS = ("paper",)
@@ -150,7 +151,6 @@ def cmd_inspect(args) -> int:
     try:
         fs = float(summary["sample_rate_hz"])
         centers = [float(hz) for hz in summary["center_freqs_hz"]]
-        mirror = bool(summary["config"]["mirror_extend"])
         has_graphs = not summary["mvmd_baseline"]
         converged, iterations = summary["converged"], summary["iterations"]
         # Per-mode graph-solve telemetry; summaries written before it
@@ -179,11 +179,10 @@ def cmd_inspect(args) -> int:
         except FileNotFoundError as exc:
             missing = f"{run_dir} lacks {Path(exc.filename).name}"
             raise TvgmdError(f"{missing}, listed in summary.json") from None
-        t_ext = 2 * mode.shape[1] if mirror else mode.shape[1]
-        coefficients, grid, _ = to_coefficients(mode, mirror)
-        del mode  # only the power is kept
-        node_power, grid = bin_power(coefficients, grid, mirror)
-        del coefficients
+        t_ext = 2 * mode.shape[1]
+        coefficients, grid, _ = to_coefficients(mode)
+        del mode  # only the power is kept, squared in place
+        node_power = np.square(coefficients, out=coefficients)
         power = node_power.sum(axis=0)
         center_norm, empty = mean_frequency(power, grid)
         if empty:
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=defaults.omega_init,
                        help="center-frequency initialization "
                             "(default: %(default)s)")
-    p_dec.add_argument("--no-mirror", dest="mirror_extend",
-                       action="store_false", help="disable boundary mirroring")
     p_dec.add_argument("--normalize-distances", action="store_true",
                        default=False,
                        help="divide each mode's pairwise distances by "

@@ -30,7 +30,6 @@ from .graph_ops import n_edges
 OMEGA_INIT_CHOICES = ("zeros", "uniform", "peaks")
 _FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
 _INT_FIELDS = ("K", "max_iter", "graph_max_iter")
-_BOOL_FIELDS = ("mirror_extend", "normalize_distances")
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -82,7 +81,7 @@ class DecompositionConfig:
     the stop rule ends the run, so reconstruction is not exact: on the
     clean paper preset at the default ``epsilon``, ``tau = 0.1`` leaves a
     largest residual of 5.9e-4 of the largest sample at ``beta = 0`` and
-    6.2e-4 at ``beta = 0.1`` (6.3e-2 at ``tau = 0``); ROADMAP item 4 plans
+    6.2e-4 at ``beta = 0.1`` (6.3e-2 at ``tau = 0``); ROADMAP item 2 plans
     a stop rule on the residual. The loop stops when ``sum_k ||g_k' -
     g_k||^2 / ||g_k||^2``, each mode's squared change over its previous
     energy with the norms taken over all nodes, falls below ``epsilon``, or
@@ -98,16 +97,15 @@ class DecompositionConfig:
     own mean in every iteration, so the distances' weight changes between
     modes and iterations: on the clean paper preset at ``beta = 0.1`` it
     moves the 2 Hz mode to 2.688 Hz in a run that reports converged
-    (ROADMAP item 7). ``beta = 0`` is the multivariate mode decomposition
+    (ROADMAP item 5). ``beta = 0`` is the multivariate mode decomposition
     baseline.
 
     A config checks itself when built: every float field must be a finite
     real number, ``K``, ``max_iter`` and ``graph_max_iter`` integers (not
-    bools), and ``mirror_extend`` and ``normalize_distances`` bools. A
-    field of the wrong type, or a value outside its range, raises
-    :class:`BadParameterError`. NumPy scalars are accepted, and every
-    numeric or bool field is stored as a plain Python ``int``, ``float`` or
-    ``bool``.
+    bools), and ``normalize_distances`` a bool. A field of the wrong type,
+    or a value outside its range, raises :class:`BadParameterError`. NumPy
+    scalars are accepted, and every numeric or bool field is stored as a
+    plain Python ``int``, ``float`` or ``bool``.
     """
 
     K: int
@@ -118,7 +116,6 @@ class DecompositionConfig:
     epsilon: float = 1e-12
     max_iter: int = 2000
     omega_init: str = "zeros"
-    mirror_extend: bool = True
     normalize_distances: bool = False
     graph_max_iter: int = 2000
     graph_epsilon: float = 1e-5
@@ -135,10 +132,10 @@ class DecompositionConfig:
                                                          numbers.Integral):
                 raise BadParameterError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
-        for name in _BOOL_FIELDS:
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise BadParameterError(f"{name} must be a bool")
-            object.__setattr__(self, name, bool(getattr(self, name)))
+        if not isinstance(self.normalize_distances, (bool, np.bool_)):
+            raise BadParameterError("normalize_distances must be a bool")
+        object.__setattr__(self, "normalize_distances",
+                           bool(self.normalize_distances))
         if self.K < 1:
             raise BadParameterError("K must be >= 1")
         if not self.alpha > 0:

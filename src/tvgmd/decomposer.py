@@ -100,11 +100,14 @@ holds ``x_c`` and a few (K, P) arrays. Each iteration's per-mode
 ``energy`` serves as the next iteration's denominators, so no iterate is
 copied or squared twice. When the loop ends, :func:`decompose` keeps the
 final modes' buffer and releases the ``_Loop`` with every other array.
-Each mode goes back to the time domain one row block at a time, into the
-first T of its own P >= T columns, and the result's modes share that
-buffer read-only; only the residual is a new ``(N, T)`` array. Without graphs the traced peak is about 1.44
-buffers at K = 4, reached as the modes are formed: their buffer, the
-input coefficients and the loop's (K, P) arrays.
+Each mode goes back to the time domain one row block at a time, in place:
+a series of T samples has T coefficients (P = T), so the finished modes
+fill their whole rows, and the result's modes share that buffer
+read-only; only the residual is a new ``(N, T)`` array.
+
+Without graphs the traced peak is about 1.44 buffers at K = 4, reached as
+the modes are formed: their buffer, the input coefficients and the loop's
+(K, P) arrays.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ from .errors import BadDimensionsError, NonFiniteInputError
 from .graph_learner import learn_graph_batch
 from .graph_ops import geodesic_update, n_edges, pairwise_distances
 from .spectral import (
-    bin_power,
     from_coefficients,
     mean_frequency,
     row_blocks,
@@ -168,17 +170,17 @@ def _graph_tolerance(rel_change: float, config: DecompositionConfig) -> float:
 
 
 def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
-                    grid: np.ndarray, t_ext: int) -> np.ndarray:
+                    grid: np.ndarray) -> np.ndarray:
     k = config.K
     if config.omega_init == "zeros":
         return np.zeros(k)
     if config.omega_init == "uniform":
         return 0.5 * (np.arange(k) + 1.0) / (k + 1.0)
     # peaks: strongest bins of the aggregate power spectrum, each pick
-    # suppressing a small neighborhood so one lobe yields one mode.
-    power, grid = bin_power(x_c, grid, config.mirror_extend)
-    power = power.sum(axis=0)
-    halfwidth = max(2, t_ext // 100)
+    # suppressing a small neighborhood so one lobe yields one mode; each
+    # coefficient is one bin of the length-2T mirror extension.
+    power = np.square(x_c).sum(axis=0)
+    halfwidth = max(2, 2 * len(grid) // 100)
     omegas = np.zeros(k)
     for i in range(k):
         top = int(np.argmax(power))
@@ -291,14 +293,11 @@ class _Loop:
     """
 
     def __init__(self, x: np.ndarray, config: DecompositionConfig):
-        n, t = x.shape
+        n = x.shape[0]
         k = config.K
         self.config = config
-        self.x_c, self.grid, self.weights = to_coefficients(
-            x, config.mirror_extend)
-        self.omegas = _initial_omegas(
-            config, self.x_c, self.grid, 2 * t if config.mirror_extend else t
-        )
+        self.x_c, self.grid, self.weights = to_coefficients(x)
+        self.omegas = _initial_omegas(config, self.x_c, self.grid)
         if config.beta > 0:
             self.data, self.node_power = self.x_c, 1.0
             self.root_weights = np.sqrt(self.weights)
@@ -348,11 +347,11 @@ class _Loop:
             mode_power = _node_power(g, self.node_power)
             energy = mode_power.sum(axis=1)
         # The run's one overflow exit. Every coefficient's energy weight is
-        # at most 1/2 (1/(2T) mirrored, at most 2/T without, and T >= 4), so
-        # each pairwise distance is at most its mode's energy, and a
-        # normalized one at most M: finite energy keeps the distances the
-        # learner sees finite. ``prev``, the relative change's denominator,
-        # is the previous iteration's checked energy.
+        # at most 1/(2T) <= 1/2, so each pairwise distance is at most its
+        # mode's energy, and a normalized one at most M: finite energy
+        # keeps the distances the learner sees finite. ``prev``, the
+        # relative change's denominator, is the previous iteration's
+        # checked energy.
         if not (np.all(np.isfinite(change)) and np.all(np.isfinite(energy))):
             raise NonFiniteInputError(
                 f"the modes' energy overflowed in iteration {iteration}: "
@@ -446,16 +445,14 @@ def decompose(
     omegas, edge_w = loop.omegas, loop.edge_w
     del loop
 
-    # Each mode goes back to the time domain in its own rows of the
-    # coefficient buffer (P >= T), which then holds the finished modes and
-    # is shared by them read-only. The residual sums the modes in loop
-    # order.
-    for mode in range(config.K):
-        from_coefficients(g[mode], t, config.mirror_extend, out=g[mode, :, :t])
+    # Each mode goes back to the time domain in place, in its own rows of
+    # the coefficient buffer, which then holds the finished modes and is
+    # shared by them read-only. The residual sums the modes in loop order.
+    for mode in g:
+        from_coefficients(mode, out=mode)
     g.flags.writeable = False
-    modes = g[:, :, :t]
-    total = modes[0].copy()
-    for mode in modes[1:]:
+    total = g[0].copy()
+    for mode in g[1:]:
         total += mode
     residual = np.subtract(x, total, out=total)
     residual.flags.writeable = False
@@ -463,7 +460,7 @@ def decompose(
     return DecompositionResult(
         modes=tuple(
             GraphMode(
-                mode_samples=modes[mode],
+                mode_samples=g[mode],
                 center_freq_hz=float(omegas[mode] * signal.sample_rate_hz),
                 edge_weights=edge_w[mode] if config.beta > 0 else np.empty(0),
             )

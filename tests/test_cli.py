@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -316,6 +317,16 @@ class TestDecomposeCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "run").exists()
 
+    def test_no_mirror_flag_is_usage_error(self, tmp_path, small_signal):
+        # every run mirror-extends its input; the flag that turned it off
+        # is gone, and no field of the config takes its place
+        with pytest.raises(SystemExit) as exc:
+            run_decompose(tmp_path, small_signal, "--no-mirror")
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+        assert "mirror_extend" not in {
+            field.name for field in dataclasses.fields(DecompositionConfig)}
+
 
 class TestInspectCommand:
     def test_inspect_prints_modes(self, tmp_path, small_signal, capsys):
@@ -484,46 +495,60 @@ class TestInspectCommand:
         table = read_matrix_csv(spectra[0])
         assert table.shape == (256, 4)  # T bins x (freq + 3 nodes)
 
-    @pytest.mark.parametrize("mirror", [True, False])
-    def test_plot_data_values(self, tmp_path, small_signal, mirror):
-        extra = () if mirror else ("--no-mirror",)
-        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256", *extra)
-        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
-        for k in (1, 2):
+    def assert_dct_spectra(self, run_dir, k_modes, fs):
+        # every spectrum has T rows, the mirror-extended FFT's bins j < T
+        # (its bin T is 0), whatever the bundle's config says
+        for k in range(1, k_modes + 1):
             mode = read_matrix_csv(run_dir / f"mode_{k}.csv")
             n, t = mode.shape
-            ext = np.concatenate([mode, mode[:, ::-1]], axis=1) if mirror else mode
-            bins = t if mirror else t // 2 + 1  # bin T of the extension is 0
-            expected = np.abs(np.fft.rfft(ext, axis=1))[:, :bins].T
+            ext = np.concatenate([mode, mode[:, ::-1]], axis=1)
+            expected = np.abs(np.fft.rfft(ext, axis=1))[:, :t].T
             table = read_matrix_csv(run_dir / f"spectrum_{k}.csv")
-            assert table.shape == (bins, 1 + n)
-            assert np.allclose(table[:, 0], np.arange(bins) * 256.0 / ext.shape[1],
+            assert table.shape == (t, 1 + n)
+            assert np.allclose(table[:, 0], np.arange(t) * fs / (2 * t),
                                rtol=1e-15, atol=0.0)
             assert np.abs(table[:, 1:] - expected).max() <= 1e-12 * expected.max()
 
-    @pytest.mark.parametrize("mirror,bound", [(True, 6.25), (False, 3.85)])
-    def test_plot_data_peak_holds_one_mode_at_a_time(self, tmp_path, mirror,
-                                                     bound):
+    def test_plot_data_values(self, tmp_path, small_signal):
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
+        self.assert_dct_spectra(run_dir, 2, 256.0)
+
+    @pytest.mark.parametrize("mirror_key", [None, False],
+                             ids=["no_key", "old_unmirrored"])
+    def test_plot_data_ignores_the_mirror_key(self, tmp_path, small_signal,
+                                              mirror_key):
+        # a new bundle's config has no mirror_extend key; a tvgmd-1 bundle
+        # of an older version may carry one, false for an unmirrored run.
+        # Both inspect to DCT-II spectra, T rows each
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        summary = read_summary_json(run_dir)
+        summary["config"].pop("mirror_extend", None)
+        if mirror_key is not None:
+            summary["config"]["mirror_extend"] = mirror_key
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
+        self.assert_dct_spectra(run_dir, 2, 256.0)
+
+    def test_plot_data_peak_holds_one_mode_at_a_time(self, tmp_path):
         # inspect analyses every mode before it writes anything, so it
-        # holds K power spectra. Each mode's samples and coefficients are
-        # dropped once its power is formed, the mirrored transform runs
-        # over row blocks, each spectrum is written from its power's own
-        # buffer, and a mode is read into one matrix after the parser's
-        # text is gone: about 6.17 mode matrices at the peak with
-        # mirroring and 3.76 without (K = 4), both reached as the last
-        # mode's coefficients are formed. Keeping a mode's samples and
-        # coefficients until the next mode is read, a whole-array mirrored
-        # transform, or a copy of a spectrum for writing (6.45 with
-        # mirroring) goes past the bound; so does squaring a whole (re, im)
-        # array without it (4.22), or stacking the parsed rows while the
-        # last line's text is alive (4.15).
+        # holds K power spectra. Each mode's samples are dropped once its
+        # coefficients are formed and the coefficients are squared in
+        # place into its power, the transform runs over row blocks, each
+        # spectrum is written from its power's own buffer, and a mode is
+        # read into one matrix after the parser's text is gone: about 6.17
+        # mode matrices at the peak (K = 4), reached as the last mode's
+        # coefficients are formed. Keeping a mode's samples and
+        # coefficients until the next mode is read, a whole-array
+        # transform, or a copy of a spectrum for writing (6.45) goes past
+        # the bound.
+        bound = 6.25
         n, t = 32, 4096
         signal = TimeVaryingGraphSignal(
             samples=np.random.default_rng(0).standard_normal((n, t)),
             sample_rate_hz=256.0,
         )
-        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0, max_iter=2,
-                                     mirror_extend=mirror)
+        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0, max_iter=2)
         write_result(tmp_path, decompose(signal, config), config,
                      sample_rate_hz=256.0, input_sha256="0", timing_ms=0.0)
         tracemalloc.start()

@@ -88,10 +88,9 @@ def traced_objectives(signal, config, monkeypatch):
     it. The loop's residual ``1 - sum_k G`` and the rebuilt ``x_c - sum_k
     G * x_c`` round apart by about ``eps * |x_c|`` per coefficient, which
     moves the objective by up to about ``eps`` times the size of its fit
-    terms, ``sum(weights * x_c^2)``. On the odd-length cells without
-    mirroring the objective cancels to 2e-12 of those terms, so that
-    reference is held to 1e-12 of the terms where they exceed the
-    objective (it stays within 3e-16 of them on the parity grid). A second
+    terms, ``sum(weights * x_c^2)``; on the parity grid and the 64-node
+    input the objective stays within 1.2e-13 relative of this reference
+    (3.2e-15 without the off-period input), inside its rtol 1e-12. A second
     reference, the formula on the gain row itself against an input of
     ones, each coefficient's weight times ``sum_n x_c^2``, sums the same
     terms in the loop's own rounding and is held to rtol 1e-12.
@@ -118,11 +117,8 @@ def traced_objectives(signal, config, monkeypatch):
                             data_weights, config, loop.edge_w, zs)
             for modes, duals, data, data_weights in states
         ]
-        scales = [abs(value) for value in values]
-        if config.beta == 0:
-            scales[0] = max(scales[0], float(np.sum(weights * node_power)))
         references.append(values)
-        tolerances.append([1e-12 * scale for scale in scales])
+        tolerances.append([1e-12 * abs(value) for value in values])
         return snapshot
 
     monkeypatch.setattr(decomposer._Loop, "step", traced_step)
@@ -138,7 +134,7 @@ def make_signal(n=3, t=16, fill=None):
 
 def zero_state(k, n, t):
     """Mode coefficients, duals and centers of an all-zero decomposition
-    of n series of length t (mirror-extended layout: t coefficients)."""
+    of n series of length t (t coefficients each)."""
     return np.zeros((k, n, t)), np.zeros((n, t)), np.zeros(k)
 
 
@@ -148,7 +144,7 @@ def input_coefficients(signal):
 
 
 def layout(t):
-    """Grid and energy weights of the mirror-extended layout for length t."""
+    """Grid and energy weights of the coefficients of length-t series."""
     return to_coefficients(np.zeros(t))[1:]
 
 
@@ -217,7 +213,6 @@ class TestValidateConfig:
             {"alpha": 1.0, "max_iter": 2.5},
             {"alpha": 1.0, "max_iter": True},
             {"alpha": 1.0, "graph_max_iter": 3.5},
-            {"alpha": 1.0, "mirror_extend": "no"},
             {"alpha": 1.0, "normalize_distances": 1},
             {"alpha": "50"},
         ],
@@ -420,12 +415,12 @@ class TestObjectiveValue:
 
         assert value((0, 1)) == pytest.approx(value((1, 0)), rel=1e-12)
 
-    @pytest.mark.parametrize("name,mirror,beta,tau,init", GRID)
+    @pytest.mark.parametrize("name,k,beta,tau,init", GRID)
     def test_trace_matches_reference_on_parity_grid(self, monkeypatch, name,
-                                                    mirror, beta, tau, init):
+                                                    k, beta, tau, init):
         config = DecompositionConfig(
-            K=2, alpha=200.0, beta=beta, tau=tau, omega_init=init,
-            mirror_extend=mirror, max_iter=20 if beta > 0 and tau > 0 else 500,
+            K=k, alpha=200.0, beta=beta, tau=tau, omega_init=init,
+            max_iter=20 if beta > 0 and tau > 0 else 500,
         )
         got, expected, tol = traced_objectives(SIGNALS[name](), config,
                                                monkeypatch)
@@ -442,13 +437,10 @@ class TestObjectiveValue:
         assert len(got) == len(expected) > 0
         assert np.all(np.abs(got[:, None] - expected) <= tol)
 
-    @pytest.mark.parametrize("mirror", [True, False])
-    def test_trace_matches_reference_over_row_blocks(self, monkeypatch,
-                                                     mirror):
+    def test_trace_matches_reference_over_row_blocks(self, monkeypatch):
         # a 64-node input, so the sweep runs over several row blocks
         config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=0.1,
-                                     omega_init="peaks", mirror_extend=mirror,
-                                     max_iter=30)
+                                     omega_init="peaks", max_iter=30)
         got, expected, tol = traced_objectives(wide_signal(), config,
                                                monkeypatch)
         assert len(got) == len(expected) == 30

@@ -175,24 +175,11 @@ class TestStoppingRule:
             loop.step(3)
         assert not distances
 
-    def test_no_mirror_stops_with_mirrored_run(self, preset):
-        # modes that die out at some nodes must not keep the run going on
-        # their rounding noise (70 iterations against 36 under a sum of
-        # per-(mode, node) ratios)
-        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0)
-        mirrored = decompose(preset, config)
-        plain = decompose(preset,
-                          dataclasses.replace(config, mirror_extend=False))
-        assert mirrored.converged and plain.converged
-        assert abs(plain.iterations - mirrored.iterations) <= 2
-
-    @pytest.mark.parametrize("mirror", [True, False])
     @pytest.mark.parametrize("scale", [1e-3, 2.0, 1e3])
-    def test_amplitude_scaling_keeps_the_path(self, preset, scale, mirror):
+    def test_amplitude_scaling_keeps_the_path(self, preset, scale):
         # without graphs the modes scale with the input, so the stop must
         # not depend on the input's scale
-        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0,
-                                     mirror_extend=mirror)
+        config = DecompositionConfig(K=4, alpha=200.0, beta=0.0)
         base = decompose(preset, config)
         scaled = decompose(TimeVaryingGraphSignal(
             scale * preset.samples, preset.sample_rate_hz), config)
@@ -504,14 +491,6 @@ class TestAwkwardInputs:
 
 
 class TestOptions:
-    def test_mirror_off_still_separates(self):
-        config = DecompositionConfig(
-            K=2, alpha=200.0, beta=0.0, mirror_extend=False
-        )
-        result = decompose(two_tone_signal(), config)
-        assert result.center_frequencies_hz[0] == pytest.approx(8.0, abs=0.5)
-        assert result.center_frequencies_hz[1] == pytest.approx(60.0, abs=0.5)
-
     @pytest.mark.parametrize("init", ["uniform", "peaks"])
     def test_alternative_initializations(self, init):
         config = DecompositionConfig(
@@ -615,12 +594,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     @pytest.mark.parametrize("tau", [0.0, 0.1])
-    @pytest.mark.parametrize("mirror", [True, False])
-    def test_carried_residual_is_the_modes_residual(self, beta, tau, mirror):
+    def test_carried_residual_is_the_modes_residual(self, beta, tau):
         # the residual the loop carries from its dual step into the next
         # sweep is, after every step, exactly the input less the modes' sum
-        config = DecompositionConfig(K=3, alpha=200.0, beta=beta, tau=tau,
-                                     mirror_extend=mirror)
+        config = DecompositionConfig(K=3, alpha=200.0, beta=beta, tau=tau)
         loop = decomposer._Loop(two_tone_signal().samples, config)
         assert np.array_equal(loop.resid, loop.data)
         for iteration in range(1, 7):
@@ -725,26 +702,23 @@ class TestRelaxation:
 
 def traced_peak_in_mode_buffers(n, t, k, **options):
     """tracemalloc peak of ``decompose`` on an n x t noise signal, in units
-    of one (K, N, P) coefficient buffer."""
+    of one (K, N, T) coefficient buffer."""
     signal = TimeVaryingGraphSignal(
         samples=np.random.default_rng(0).standard_normal((n, t)),
         sample_rate_hz=FS,
     )
     config = DecompositionConfig(K=k, alpha=200.0, max_iter=2, **options)
-    p = t if config.mirror_extend else 2 * (t // 2 + 1)
     tracemalloc.start()
     try:
         decompose(signal, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (k * n * p * 8)
+    return peak / (k * n * t * 8)
 
 
 class TestMemory:
-    @pytest.mark.parametrize("mirror", [True, False])
-    def test_mvmd_peak_stays_within_one_and_a_half_mode_buffers(
-            self, mirror):
+    def test_mvmd_peak_stays_within_one_and_a_half_mode_buffers(self):
         # With beta = 0 the loop runs on (K, P) gains and keeps only one
         # (N, P) array, the input coefficients. The modes are formed once,
         # into the one (K, N, P) buffer that goes back to the time domain
@@ -752,12 +726,10 @@ class TestMemory:
         # 4. A per-node loop, with its mode buffer and the (N, P) duals
         # beside the input coefficients, or a copy of the modes, goes past
         # 1.5.
-        peak = traced_peak_in_mode_buffers(32, 8192, 4, beta=0.0,
-                                           mirror_extend=mirror)
+        peak = traced_peak_in_mode_buffers(32, 8192, 4, beta=0.0)
         assert peak <= 1.5
 
-    @pytest.mark.parametrize("mirror", [True, False])
-    def test_graph_peak_frees_squares_before_distances(self, mirror):
+    def test_graph_peak_frees_squares_before_distances(self):
         # With graphs an iteration also holds the smoothed modes; the
         # energies' squares and the distances' weighted modes both go into
         # the buffer the sweep wrote, which smoothing leaves free: about
@@ -765,6 +737,5 @@ class TestMemory:
         # reaches about 5.0, and keeping the squares alive into the
         # distances adds one more.
         peak = traced_peak_in_mode_buffers(32, 4096, 4, beta=0.1,
-                                           graph_max_iter=5,
-                                           mirror_extend=mirror)
+                                           graph_max_iter=5)
         assert peak <= 4.5

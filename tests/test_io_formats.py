@@ -384,12 +384,12 @@ class TestWriteResult:
         manifest["config"] = DecompositionConfig(
             K=np.int64(2), alpha=np.float32(50), beta=np.float64(0.5),
             max_iter=np.int64(50), graph_max_iter=np.int32(20),
-            mirror_extend=np.bool_(False),
+            normalize_distances=np.bool_(True),
         )
         write_result(tmp_path, result, **manifest)
         assert read_summary_json(tmp_path)["config"] == dataclasses.asdict(
             DecompositionConfig(K=2, alpha=50.0, beta=0.5, max_iter=50,
-                                graph_max_iter=20, mirror_extend=False)
+                                graph_max_iter=20, normalize_distances=True)
         )
 
     def test_mode_csv_round_trips_samples(self, tmp_path):

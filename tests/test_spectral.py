@@ -7,7 +7,6 @@ from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import decompose
 from tvgmd.errors import BadDimensionsError
 from tvgmd.spectral import (
-    bin_power,
     from_coefficients,
     mean_frequency,
     row_blocks,
@@ -28,70 +27,63 @@ def random_spectrum(n_bins, seed=None):
     return r.standard_normal(n_bins) + 1j * r.standard_normal(n_bins)
 
 
-def bin_magnitudes(coefficients):
-    """Magnitude per rfft bin of the unmirrored (re, im) layout."""
-    return np.hypot(coefficients[0::2], coefficients[1::2])
-
-
 class TestTransforms:
     def test_constant_series_is_dc_only(self):
+        # c_0 = 2 * sum(x); every other DCT-II basis row sums to zero
         c = 3.25
-        coefficients, _, _ = to_coefficients(np.full(16, c), mirror=False)
-        assert coefficients[0] == pytest.approx(c * 16)
+        coefficients, _, _ = to_coefficients(np.full(16, c))
+        assert coefficients[0] == pytest.approx(2 * c * 16)
         assert np.allclose(coefficients[1:], 0.0, atol=1e-12)
 
     def test_pure_cosine_hits_one_bin(self):
+        # a cosine at bin 5 of the mirror extension, sampled at half-integer
+        # phase, is DCT-II basis row 5: c_5 = 2 * sum(cos^2) = T
         t = np.arange(32)
-        x = np.cos(2 * np.pi * 5 * t / 32)
-        mags = bin_magnitudes(to_coefficients(x, mirror=False)[0])
+        x = np.cos(np.pi * 5 * (2 * t + 1) / 64)
+        mags = np.abs(to_coefficients(x)[0])
         assert np.argmax(mags) == 5
+        assert mags[5] == pytest.approx(32.0)
         mags[5] = 0.0
         assert np.all(mags < 1e-10)
 
-    @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("t_len", [16, 17, 250])
-    def test_roundtrip(self, mirror, t_len):
+    def test_roundtrip(self, t_len):
         x = rng.standard_normal((2, t_len))
-        coefficients, grid, weights = to_coefficients(x, mirror)
-        assert coefficients.shape[-1] == len(grid) == len(weights)
-        back = from_coefficients(coefficients, t_len, mirror)
+        coefficients, grid, weights = to_coefficients(x)
+        assert coefficients.shape == x.shape
+        assert len(grid) == len(weights) == t_len
+        back = from_coefficients(coefficients)
         assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_blocked_transforms_match_whole_array_transforms(self, mirror):
+    def test_blocked_transforms_match_whole_array_transforms(self):
         # 40 rows of 1000 samples span several row blocks, the last one
         # partial; the FFT transforms each row alone, so blocking changes
-        # no value, also when the inverse writes into the first T columns
-        # of the coefficients' own buffer
+        # no value, also when the inverse writes into the coefficients'
+        # own buffer
         n, t = 40, 1000
         x = rng.standard_normal((n, t))
-        coefficients = to_coefficients(x, mirror)[0]
+        coefficients = to_coefficients(x)[0]
         assert len(row_blocks(n, coefficients.shape[1])) >= 3
-        if mirror:
-            phase = np.exp(1j * np.pi * np.arange(t) / (2 * t))
-            spectrum = np.fft.rfft(np.concatenate([x, x[:, ::-1]], axis=1))
-            whole = (spectrum[:, :t] * phase.conj()).real
-            spectrum = np.zeros((n, t + 1), dtype=complex)
-            spectrum[:, :t] = coefficients * phase
-            back = np.fft.irfft(spectrum, n=2 * t)[:, :t]
-        else:
-            whole = np.fft.rfft(x).view(float)
-            back = np.fft.irfft(coefficients.view(complex), n=t)
+        phase = np.exp(1j * np.pi * np.arange(t) / (2 * t))
+        spectrum = np.fft.rfft(np.concatenate([x, x[:, ::-1]], axis=1))
+        whole = (spectrum[:, :t] * phase.conj()).real
+        spectrum = np.zeros((n, t + 1), dtype=complex)
+        spectrum[:, :t] = coefficients * phase
+        back = np.fft.irfft(spectrum, n=2 * t)[:, :t]
         assert np.array_equal(coefficients, whole)
-        assert np.array_equal(from_coefficients(coefficients, t, mirror), back)
-        in_place = from_coefficients(coefficients, t, mirror,
-                                     out=coefficients[:, :t])
-        assert np.shares_memory(in_place, coefficients)
+        assert np.array_equal(from_coefficients(coefficients), back)
+        in_place = from_coefficients(coefficients, out=coefficients)
+        assert in_place is coefficients
         assert np.array_equal(in_place, back)
 
     def test_dc_only_inverts_to_constant(self):
-        coefficients = np.zeros(18)
-        coefficients[0] = 2.5 * 16
-        back = from_coefficients(coefficients, 16, mirror=False)
+        coefficients = np.zeros(16)
+        coefficients[0] = 2 * 2.5 * 16
+        back = from_coefficients(coefficients)
         assert back == pytest.approx(np.full(16, 2.5))
 
     def test_zero_spectrum_inverts_to_zero(self):
-        back = from_coefficients(np.zeros(16), 16, mirror=True)
+        back = from_coefficients(np.zeros(16))
         assert np.array_equal(back, np.zeros(16))
 
     def test_short_series_rejected(self):
@@ -106,7 +98,7 @@ class TestTransforms:
         # DCT-II by its definition, and |c_j| equals bin j of the
         # mirror-extended FFT, whose bin T vanishes
         x = rng.standard_normal((3, t_len))
-        coefficients, grid, _ = to_coefficients(x, mirror=True)
+        coefficients, grid, _ = to_coefficients(x)
         n = np.arange(t_len)
         basis = 2.0 * np.cos(np.pi * np.outer(n, 2 * n + 1) / (2 * t_len))
         assert np.allclose(coefficients, x @ basis.T, rtol=0, atol=1e-12)
@@ -120,26 +112,14 @@ class TestTransforms:
         assert np.allclose(spectrum[:, t_len], 0.0, atol=1e-12)
         assert np.array_equal(grid, frequency_grid(2 * t_len)[:t_len])
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    @pytest.mark.parametrize("t_len", [8, 9, 64])
-    def test_bin_power_matches_rfft(self, mirror, t_len):
-        x = rng.standard_normal((3, t_len))
-        power, freqs = bin_power(*to_coefficients(x, mirror)[:2], mirror)
-        ext = np.concatenate([x, x[:, ::-1]], axis=1) if mirror else x
-        spectrum = np.fft.rfft(ext)[:, : power.shape[1]]
-        assert power.shape == (3, t_len if mirror else t_len // 2 + 1)
-        assert np.allclose(power, np.abs(spectrum) ** 2, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(freqs, frequency_grid(ext.shape[1])[: power.shape[1]])
-
     @settings(max_examples=50, deadline=None)
     @given(
         t_len=st.integers(min_value=4, max_value=200),
-        mirror=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_parseval(self, t_len, mirror, seed):
+    def test_parseval(self, t_len, seed):
         x = np.random.default_rng(seed).standard_normal(t_len)
-        coefficients, _, weights = to_coefficients(x, mirror)
+        coefficients, _, weights = to_coefficients(x)
         energy = float(weights @ coefficients**2)
         assert energy == pytest.approx(float(x @ x), rel=1e-10)
 
@@ -275,25 +255,3 @@ class TestCenterFrequency:
         grid = frequency_grid(64)
         omega, _ = mean_frequency(np.abs(bins) ** 2, grid)
         assert grid[support].min() - 1e-12 <= omega <= grid[support].max() + 1e-12
-
-
-class TestMirrorInvariance:
-    def test_boundary_symmetric_signal(self):
-        # a cosine sampled at half-integer phase is exactly even about both
-        # series edges, so mirroring must not change the analysis
-        t_len = 256
-        n = np.arange(t_len)
-        x = np.cos(2 * np.pi * 8 * (n + 0.5) / t_len) + 0.5 * np.cos(
-            2 * np.pi * 30 * (n + 0.5) / t_len
-        )
-        gains_args = (0.1, 40.0)
-        lo, hi = t_len // 4, 3 * t_len // 4
-
-        outputs = []
-        for mirror in (False, True):
-            coefficients, grid, _ = to_coefficients(x, mirror)
-            mode = coefficients * wiener_weights(grid, *gains_args)
-            outputs.append(from_coefficients(mode, t_len, mirror))
-        middle_no, middle_yes = outputs[0][lo:hi], outputs[1][lo:hi]
-        rel = np.linalg.norm(middle_no - middle_yes) / np.linalg.norm(middle_no)
-        assert rel <= 1e-3
