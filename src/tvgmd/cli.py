@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DecompositionConfig, OMEGA_INIT_CHOICES
+from .core import DecompositionConfig
 from .decomposer import decompose
 from .errors import TvgmdError
 from .graph_ops import edge_pairs, nodes_from_edge_count
@@ -285,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "relative change (default: %(default)s)")
     p_dec.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="iteration cap (default: %(default)s)")
-    p_dec.add_argument("--omega-init", choices=OMEGA_INIT_CHOICES,
-                       default=defaults.omega_init,
-                       help="center-frequency initialization "
-                            "(default: %(default)s)")
     p_dec.add_argument("--normalize-distances", action="store_true",
                        default=False,
                        help="divide each mode's pairwise distances by "

@@ -49,23 +49,29 @@ from the objective the learner ends that mode's solve with. All K modes'
 gains come from one :func:`~tvgmd.spectral.wiener_weights` call. The
 loop always holds the duals; with ``tau = 0`` they stay zero.
 
+The modes start at zero, each center at one of the input's spectral
+peaks (:func:`_initial_omegas`), or at 0 once the peaks run out. That
+spares the iterations that VMD's and MVMD's start, every center at 0 Hz,
+spends walking the centers up to their bands.
+
 Near its fixed point the loop contracts linearly: on the clean preset
-each of its last 22 iterations shrinks the change 2.5- to 2.9-fold. There
-it is over-relaxed, the Krasnosel'skii-Mann iteration that Eckstein &
-Bertsekas (Math. Programming 1992) apply to ADMM: once the previous
-iteration's change is below ``_RELAX_BELOW``, each iteration's finished
-modes (the smoothed modes with graphs, the gains without, after the
-centers are updated from the sweep's spectra) become ``g_prev + _RELAX *
-(g - g_prev)``, in place, as ``g + (_RELAX - 1) * (g - g_prev)`` from the
-step that the change is read from, before their energy, distances or
-graphs are formed. That is safe for two reasons. A fixed point of the
-plain iteration is one of the relaxed iteration too, and the other way
-round, so the stop rule ends the run at the same point: at
-``epsilon = 1e-16`` the relaxed and plain modes agree within 2e-8 of
+each of the last 24 of its 31 unrelaxed iterations shrinks the change
+2.6- to 2.9-fold. There it is over-relaxed, the Krasnosel'skii-Mann
+iteration that Eckstein & Bertsekas (Math. Programming 1992) apply to
+ADMM: once the previous iteration's change is below ``_RELAX_BELOW``,
+each iteration's finished modes (the smoothed modes with graphs, the
+gains without, after the centers are updated from the sweep's spectra)
+become ``g_prev + _RELAX * (g - g_prev)``, in place, as ``g + (_RELAX -
+1) * (g - g_prev)`` from the step that the change is read from, before
+their energy, distances or graphs are formed. That is safe for two
+reasons. A fixed point of the plain iteration is one of the relaxed
+iteration too, and the other way round, so the stop rule ends the run at
+the same point: at
+``epsilon = 1e-16`` the relaxed and plain modes agree within 1.1e-8 of
 max|x|. And the gate keeps the early iterations as they were, while the
-centers and graphs are still moving far; relaxing those moved one 6 dB
-run to another stationary point. The change the stop rule reads is the
-relaxed step, ``_RELAX`` times the plain one, so the rule is no looser.
+centers and graphs are still moving far. The change the stop rule reads
+is the relaxed step, ``_RELAX`` times the plain one, so the rule is no
+looser.
 
 With ``beta = 0`` the graph steps are skipped entirely and the procedure
 reduces to the multivariate mode decomposition baseline. Every step is
@@ -134,27 +140,22 @@ from .spectral import (
     wiener_weights,
 )
 
-# Graph tolerance of the first iteration, and the loosest of any, chosen by
+# Graph tolerance of the first iteration, and the loosest of any, from
 # lockstep learner sweeps with the relaxed loop at beta = 0.1. Clean preset,
-# caps 0.1 / 0.15 / 0.2 / 0.25 / 0.27 / 0.3 / 0.5: sweeps 83 / 73 / 71 / 68
-# / 80 / 72 / 81, Newton steps 179 / 165 / 152 / 148 / 159 / 151 / 154, 26
-# iterations each (0.24 as 0.25, 0.26 as 0.27). Summed over 6 dB seeds 0-9
-# and planted N = 32 / 64, 0.25 took 1,459 sweeps against 1,519 at 0.1
-# and 1,477 at 0.2; 6 dB seed 7 and N = 32 took one iteration more than at
-# 0.1, every other run as many, and every solve converged. 0.5 added one
-# iteration on 6 dB seeds 0 and 5; before the relaxation, 1.0 let 6 dB
-# seed 0 take 37 more.
+# caps 0.1 / 0.15 / 0.2 / 0.25 / 0.3 / 0.5: sweeps 67 / 66 / 66 / 72 / 72 /
+# 62, Newton steps 143 / 136 / 132 / 137 / 137 / 124, in 21 / 22 / 22 / 21
+# / 21 / 22 iterations. Summed over 6 dB seeds 0-9 and planted N = 32 / 64,
+# 0.25 took 975 sweeps against 1,034 at 0.1, 987 at 0.2 and 959 at 0.5;
+# every run took as many iterations at each cap, and every solve converged.
 _LOOSEST = 0.25
 
 # Over-relaxation of the loop's linear tail: once the previous iteration's
 # change is below _RELAX_BELOW, each iteration's finished modes step
-# _RELAX times as far from the previous ones. On the clean preset this
-# took 36 iterations to 26 and 210 Newton steps to 179, and 6 dB seeds 0-9
-# to 19-32% fewer iterations, each to within 2e-6 of max|x| of the
-# unrelaxed loop's fixed point. Relaxing from the first iteration (1.1 or
-# 1.5) moved 6 dB seed 1 to another stationary point, 8.5e-3 of max|x|
-# away; gated, 1.8 took 52 iterations on the clean preset and 2.0 did not
-# converge in 2000.
+# _RELAX times as far from the previous ones. At beta = 0.1 this took the
+# clean preset from 31 iterations to 21 and 161 Newton steps to 137, and
+# 6 dB seeds 0-9 to 28-32% fewer iterations, each to within 1e-6 of max|x|
+# of the unrelaxed loop's result. Gated, 1.8 took 47 iterations on the
+# clean preset and 2.0 did not converge in 2000.
 _RELAX = 1.5
 _RELAX_BELOW = 0.1
 
@@ -169,23 +170,27 @@ def _graph_tolerance(rel_change: float, config: DecompositionConfig) -> float:
     return max(config.graph_epsilon, min(_LOOSEST, math.sqrt(rel_change)))
 
 
-def _initial_omegas(config: DecompositionConfig, x_c: np.ndarray,
+def _initial_omegas(k: int, power: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
-    k = config.K
-    if config.omega_init == "zeros":
-        return np.zeros(k)
-    if config.omega_init == "uniform":
-        return 0.5 * (np.arange(k) + 1.0) / (k + 1.0)
-    # peaks: strongest bins of the aggregate power spectrum, each pick
-    # suppressing a small neighborhood so one lobe yields one mode; each
-    # coefficient is one bin of the length-2T mirror extension.
-    power = np.square(x_c).sum(axis=0)
+    """The K starting centers, sorted, from ``power``, the node-summed power
+    of each coefficient (one bin of the length-2T mirror extension).
+
+    Greedily, the strongest bin not yet suppressed seeds a mode if its power
+    is positive and no bin within ``halfwidth`` of it has more power; its
+    window is then suppressed. The first bin that fails ends the search, so
+    a tone's leakage lobes, which sit beside a stronger bin, seed no mode.
+    Modes left without a bin start at 0.
+    """
     halfwidth = max(2, 2 * len(grid) // 100)
+    left = power.copy()
     omegas = np.zeros(k)
     for i in range(k):
-        top = int(np.argmax(power))
+        top = int(np.argmax(left))
+        window = slice(max(0, top - halfwidth), top + halfwidth + 1)
+        if not (left[top] > 0 and power[top] == power[window].max()):
+            break
         omegas[i] = grid[top]
-        power[max(0, top - halfwidth) : top + halfwidth + 1] = 0.0
+        left[window] = 0.0
     return np.sort(omegas)
 
 
@@ -297,7 +302,10 @@ class _Loop:
         k = config.K
         self.config = config
         self.x_c, self.grid, self.weights = to_coefficients(x)
-        self.omegas = _initial_omegas(config, self.x_c, self.grid)
+        # an input whose squares overflow is caught by the first step
+        with np.errstate(over="ignore"):
+            power = np.einsum("np,np->p", self.x_c, self.x_c)
+        self.omegas = _initial_omegas(k, power, self.grid)
         if config.beta > 0:
             self.data, self.node_power = self.x_c, 1.0
             self.root_weights = np.sqrt(self.weights)
@@ -305,7 +313,7 @@ class _Loop:
             # g and lam hold the gains, one row against an input of ones; a
             # sum over nodes weights each coefficient by node_power
             self.data = np.ones((1, self.x_c.shape[1]))
-            self.node_power = np.einsum("np,np->p", self.x_c, self.x_c)
+            self.node_power = power
         self.blocks = row_blocks(*self.data.shape)
         self.g = np.zeros((k,) + self.data.shape)
         self.spare = np.empty_like(self.g)

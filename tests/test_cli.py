@@ -327,6 +327,16 @@ class TestDecomposeCommand:
         assert "mirror_extend" not in {
             field.name for field in dataclasses.fields(DecompositionConfig)}
 
+    def test_omega_init_flag_is_usage_error(self, tmp_path, small_signal):
+        # every run starts its modes at the input's spectral peaks; the
+        # flag that chose another start is gone, with its config field
+        with pytest.raises(SystemExit) as exc:
+            run_decompose(tmp_path, small_signal, "--omega-init", "peaks")
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+        assert "omega_init" not in {
+            field.name for field in dataclasses.fields(DecompositionConfig)}
+
 
 class TestInspectCommand:
     def test_inspect_prints_modes(self, tmp_path, small_signal, capsys):

@@ -194,7 +194,6 @@ class TestValidateConfig:
             {"alpha": 1.0, "epsilon": 0.0},
             {"alpha": 1.0, "beta": -0.1},
             {"alpha": 1.0, "tau": -1.0},
-            {"alpha": 1.0, "omega_init": "random"},
             {"alpha": 1.0, "max_iter": 0},
             {"alpha": 1.0, "beta": 0.5, "gamma": 0.0},
             {"alpha": 1.0, "beta": 0.0, "gamma": -1.0},
@@ -415,11 +414,11 @@ class TestObjectiveValue:
 
         assert value((0, 1)) == pytest.approx(value((1, 0)), rel=1e-12)
 
-    @pytest.mark.parametrize("name,k,beta,tau,init", GRID)
+    @pytest.mark.parametrize("name,k,beta,tau", GRID)
     def test_trace_matches_reference_on_parity_grid(self, monkeypatch, name,
-                                                    k, beta, tau, init):
+                                                    k, beta, tau):
         config = DecompositionConfig(
-            K=k, alpha=200.0, beta=beta, tau=tau, omega_init=init,
+            K=k, alpha=200.0, beta=beta, tau=tau,
             max_iter=20 if beta > 0 and tau > 0 else 500,
         )
         got, expected, tol = traced_objectives(SIGNALS[name](), config,
@@ -440,7 +439,7 @@ class TestObjectiveValue:
     def test_trace_matches_reference_over_row_blocks(self, monkeypatch):
         # a 64-node input, so the sweep runs over several row blocks
         config = DecompositionConfig(K=2, alpha=200.0, beta=0.0, tau=0.1,
-                                     omega_init="peaks", max_iter=30)
+                                     max_iter=30)
         got, expected, tol = traced_objectives(wide_signal(), config,
                                                monkeypatch)
         assert len(got) == len(expected) == 30
