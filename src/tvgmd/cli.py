@@ -285,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "relative change (default: %(default)s)")
     p_dec.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="iteration cap (default: %(default)s)")
-    p_dec.add_argument("--normalize-distances", action="store_true",
-                       default=False,
-                       help="divide each mode's pairwise distances by "
-                            "their own mean in every iteration; this can "
-                            "move centers, see README")
     p_dec.add_argument("--graph-max-iter", type=int,
                        default=defaults.graph_max_iter,
                        help="cap on graph learner Newton steps per solve "

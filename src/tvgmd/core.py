@@ -92,19 +92,14 @@ class DecompositionConfig:
     change clipped to ``[graph_epsilon, 0.25]``, and a run ends only on an
     iteration whose solves were held to ``graph_epsilon``. A run in which
     any graph solve misses its tolerance reports ``converged=False``.
-    ``normalize_distances`` divides each mode's pairwise distances by their
-    own mean in every iteration, so the distances' weight changes between
-    modes and iterations: on the clean paper preset at ``beta = 0.1`` it
-    moves the 2 Hz mode to 2.663 Hz and the 24 Hz mode to 24.56 Hz in a run
-    that reports converged (ROADMAP item 5). ``beta = 0`` is the
-    multivariate mode decomposition baseline.
+    Each graph is learned from its mode's raw pairwise distances.
+    ``beta = 0`` is the multivariate mode decomposition baseline.
 
     A config checks itself when built: every float field must be a finite
-    real number, ``K``, ``max_iter`` and ``graph_max_iter`` integers (not
-    bools), and ``normalize_distances`` a bool. A field of the wrong type,
-    or a value outside its range, raises :class:`BadParameterError`. NumPy
-    scalars are accepted, and every numeric or bool field is stored as a
-    plain Python ``int``, ``float`` or ``bool``.
+    real number, and ``K``, ``max_iter`` and ``graph_max_iter`` integers
+    (not bools). A field of the wrong type, or a value outside its range,
+    raises :class:`BadParameterError`. NumPy scalars are accepted, and
+    every field is stored as a plain Python ``int`` or ``float``.
     """
 
     K: int
@@ -114,7 +109,6 @@ class DecompositionConfig:
     tau: float = 0.0
     epsilon: float = 1e-12
     max_iter: int = 2000
-    normalize_distances: bool = False
     graph_max_iter: int = 2000
     graph_epsilon: float = 1e-5
 
@@ -130,10 +124,6 @@ class DecompositionConfig:
                                                          numbers.Integral):
                 raise BadParameterError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
-        if not isinstance(self.normalize_distances, (bool, np.bool_)):
-            raise BadParameterError("normalize_distances must be a bool")
-        object.__setattr__(self, "normalize_distances",
-                           bool(self.normalize_distances))
         if self.K < 1:
             raise BadParameterError("K must be >= 1")
         if not self.alpha > 0:

@@ -356,10 +356,9 @@ class _Loop:
             energy = mode_power.sum(axis=1)
         # The run's one overflow exit. Every coefficient's energy weight is
         # at most 1/(2T) <= 1/2, so each pairwise distance is at most its
-        # mode's energy, and a normalized one at most M: finite energy
-        # keeps the distances the learner sees finite. ``prev``, the
-        # relative change's denominator, is the previous iteration's
-        # checked energy.
+        # mode's energy: finite energy keeps the distances the learner sees
+        # finite. ``prev``, the relative change's denominator, is the
+        # previous iteration's checked energy.
         if not (np.all(np.isfinite(change)) and np.all(np.isfinite(energy))):
             raise NonFiniteInputError(
                 f"the modes' energy overflowed in iteration {iteration}: "
@@ -370,9 +369,7 @@ class _Loop:
         if config.beta > 0:
             # (4) re-learn every mode's graph from its new distances
             zs = pairwise_distances(
-                np.multiply(g, self.root_weights, out=self.spare),
-                normalize=config.normalize_distances,
-            )
+                np.multiply(g, self.root_weights, out=self.spare))
             self.edge_w, steps, solved = learn_graph_batch(
                 zs,
                 config.beta,

@@ -103,7 +103,7 @@ def node_matrices(edge_values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return matrices
 
 
-def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray:
+def pairwise_distances(modes: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between all row pairs of N x T matrices.
 
     Parameters
@@ -111,10 +111,6 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
     modes : np.ndarray
         One N x T signal matrix (one time series per row), or a ``(K, N, T)``
         stack of them; a stack is handled in one batched Gram product.
-    normalize : bool
-        Divide each matrix's distances by their mean (skipped when the mean
-        is zero), which makes downstream smoothness weights invariant to the
-        signal scale.
 
     Returns
     -------
@@ -131,11 +127,7 @@ def pairwise_distances(modes: np.ndarray, normalize: bool = False) -> np.ndarray
     sq = np.diagonal(G, axis1=-2, axis2=-1)
     z = sq[..., rows] + sq[..., cols] - 2.0 * G[..., rows, cols]
     # Gram-based distances can dip a hair below zero for identical rows.
-    z = np.maximum(z, 0.0)
-    if normalize:
-        mean = z.mean(axis=-1, keepdims=True)
-        z = z / np.where(mean > 0.0, mean, 1.0)
-    return z
+    return np.maximum(z, 0.0)
 
 
 def geodesic_update(

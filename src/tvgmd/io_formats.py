@@ -226,6 +226,8 @@ def read_adjacency_json(path: str | os.PathLike) -> np.ndarray:
         raise SignalParseError(f"{path.name}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise SignalParseError(f"{path.name}: bad weights: {exc}") from None
+    if weights.ndim != 1:
+        raise SignalParseError(f"{path.name}: weights are not a flat list")
     if nodes_from_edge_count(weights.size) != n_nodes:
         raise SignalParseError(f"{path.name}: weight count does not match n_nodes")
     return weights

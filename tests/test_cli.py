@@ -337,6 +337,17 @@ class TestDecomposeCommand:
         assert "omega_init" not in {
             field.name for field in dataclasses.fields(DecompositionConfig)}
 
+    def test_normalize_distances_flag_is_usage_error(self, tmp_path,
+                                                     small_signal):
+        # every graph is learned from its mode's raw distances; the flag
+        # that divided them by their mean is gone, with its config field
+        with pytest.raises(SystemExit) as exc:
+            run_decompose(tmp_path, small_signal, "--normalize-distances")
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+        assert "normalize_distances" not in {
+            field.name for field in dataclasses.fields(DecompositionConfig)}
+
 
 class TestInspectCommand:
     def test_inspect_prints_modes(self, tmp_path, small_signal, capsys):
@@ -411,10 +422,16 @@ class TestInspectCommand:
                 '{"edge_order": "upper-triangular-row-major", "weights": [1, 2, 3]}',
                 "adjacency_2.json: missing key 'n_nodes'",
             ),
+            (
+                "adjacency_2.json",
+                '{"n_nodes": 3, "edge_order": "upper-triangular-row-major",'
+                ' "weights": [[1, 2, 3]]}',
+                "adjacency_2.json: weights are not a flat list",
+            ),
             ("mode_2.csv", "abc\n", "mode_2.csv, line 1: non-numeric cell 'abc'"),
         ],
         ids=["malformed", "not_an_object", "no_weights", "no_n_nodes",
-             "mode_cell"],
+             "nested", "mode_cell"],
     )
     def test_corrupt_adjacency_is_an_error(self, tmp_path, small_signal,
                                            capsys, name, text, message):
@@ -524,18 +541,24 @@ class TestInspectCommand:
         assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
         self.assert_dct_spectra(run_dir, 2, 256.0)
 
-    @pytest.mark.parametrize("mirror_key", [None, False],
-                             ids=["no_key", "old_unmirrored"])
-    def test_plot_data_ignores_the_mirror_key(self, tmp_path, small_signal,
-                                              mirror_key):
-        # a new bundle's config has no mirror_extend key; a tvgmd-1 bundle
-        # of an older version may carry one, false for an unmirrored run.
-        # Both inspect to DCT-II spectra, T rows each
+    @pytest.mark.parametrize(
+        "old_key",
+        [None, ("mirror_extend", False), ("normalize_distances", True)],
+        ids=["no_key", "old_unmirrored", "old_normalized"],
+    )
+    def test_plot_data_ignores_old_config_keys(self, tmp_path, small_signal,
+                                               old_key):
+        # a new bundle's config has none of the keys older versions wrote;
+        # a tvgmd-1 bundle of an older version may carry one, such as
+        # mirror_extend false for an unmirrored run. Every bundle inspects
+        # to DCT-II spectra, T rows each
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         summary = read_summary_json(run_dir)
-        summary["config"].pop("mirror_extend", None)
-        if mirror_key is not None:
-            summary["config"]["mirror_extend"] = mirror_key
+        assert not {"mirror_extend", "normalize_distances"} & set(
+            summary["config"])
+        if old_key is not None:
+            name, value = old_key
+            summary["config"][name] = value
         (run_dir / "summary.json").write_text(json.dumps(summary))
         assert main(["inspect", "--run", str(run_dir), "--plot-data"]) == 0
         self.assert_dct_spectra(run_dir, 2, 256.0)

@@ -178,9 +178,7 @@ def reference_decompose(signal, config):
             if relax:
                 g_hat = g_prev + _RELAX * (g_hat - g_prev)
                 smoothed = to_time(g_hat)
-            zs = pairwise_distances(
-                smoothed, normalize=config.normalize_distances
-            )
+            zs = pairwise_distances(smoothed)
             edge_w, _, solved = learn_graph_batch(
                 zs,
                 config.beta,

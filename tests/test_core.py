@@ -104,8 +104,7 @@ def traced_objectives(signal, config, monkeypatch):
         zs = None
         if config.beta > 0:
             # the distances the step's graph solves ran on
-            zs = pairwise_distances(g * np.sqrt(weights),
-                                    normalize=config.normalize_distances)
+            zs = pairwise_distances(g * np.sqrt(weights))
         states = [(g, lam, x, weights)]
         if config.beta == 0:
             assert lam.shape == (1, x.shape[1])
@@ -212,13 +211,19 @@ class TestValidateConfig:
             {"alpha": 1.0, "max_iter": 2.5},
             {"alpha": 1.0, "max_iter": True},
             {"alpha": 1.0, "graph_max_iter": 3.5},
-            {"alpha": 1.0, "normalize_distances": 1},
             {"alpha": "50"},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(BadParameterError):
             DecompositionConfig(**{"K": 2, **kwargs})
+
+    def test_removed_fields_are_not_accepted(self):
+        # nine fields; keys that older versions had are no config at all
+        assert len(dataclasses.fields(DecompositionConfig)) == 9
+        for name in ("normalize_distances", "mirror_extend", "omega_init"):
+            with pytest.raises(TypeError):
+                DecompositionConfig(K=2, alpha=1.0, **{name: True})
 
 
 class TestDomainTypes:

@@ -532,13 +532,6 @@ class TestAwkwardInputs:
 
 
 class TestOptions:
-    def test_normalize_distances_path(self):
-        config = DecompositionConfig(
-            K=2, alpha=200.0, beta=0.1, normalize_distances=True
-        )
-        result = decompose(two_tone_signal(), config)
-        assert result.converged
-
     def test_spectral_and_time_domain_changes_agree(self):
         # the stopping metric is spectral; with mirrored transforms the same
         # per-mode ratio computed from time-domain modes, norms over all

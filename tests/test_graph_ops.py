@@ -152,24 +152,22 @@ class TestPairwiseDistances:
             brute_force_distances(U), abs=1e-10
         )
 
-    def test_normalization_divides_by_mean(self):
-        U = rng.standard_normal((5, 9))
-        z = pairwise_distances(U, normalize=True)
-        assert z.mean() == pytest.approx(1.0)
-
-    def test_normalization_skipped_for_zero_distances(self):
-        U = np.ones((3, 4))
-        assert np.array_equal(pairwise_distances(U, normalize=True), np.zeros(3))
-
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_stack_matches_per_mode_calls(self, normalize):
+    def test_stack_matches_per_mode_calls(self):
         U = rng.standard_normal((3, 6, 40))
-        U[1] = 1.0  # all-zero distances: normalization skipped for this mode
-        stacked = pairwise_distances(U, normalize=normalize)
+        U[1] = 1.0  # identical rows: all-zero distances for this mode
+        stacked = pairwise_distances(U)
         assert stacked.shape == (3, n_edges(6))
         for mode in range(3):
-            single = pairwise_distances(U[mode], normalize=normalize)
+            single = pairwise_distances(U[mode])
             assert np.abs(stacked[mode] - single).max() <= 1e-12
+
+    def test_takes_only_the_modes(self):
+        # one distance rule: there is no switch that rescales the distances
+        U = rng.standard_normal((4, 8))
+        with pytest.raises(TypeError):
+            pairwise_distances(U, True)
+        with pytest.raises(TypeError):
+            pairwise_distances(U, normalize=True)
 
     @pytest.mark.parametrize("rows,expected,warned", [
         # squares that overflow: those distances come out infinite

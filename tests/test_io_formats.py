@@ -313,9 +313,15 @@ class TestAdjacencyJson:
                 ' "weights": [1, 2, 3]}',
                 "adjacency_2.json: weight count does not match n_nodes",
             ),
+            (
+                # the right total size, one list too deep
+                '{"n_nodes": 3, "edge_order": "upper-triangular-row-major",'
+                ' "weights": [[1, 2, 3]]}',
+                "adjacency_2.json: weights are not a flat list",
+            ),
         ],
         ids=["malformed", "not_an_object", "no_weights", "no_n_nodes",
-             "non_numeric", "edge_order", "count_mismatch"],
+             "non_numeric", "edge_order", "count_mismatch", "nested"],
     )
     def test_corrupt_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "adjacency_2.json"
@@ -384,12 +390,11 @@ class TestWriteResult:
         manifest["config"] = DecompositionConfig(
             K=np.int64(2), alpha=np.float32(50), beta=np.float64(0.5),
             max_iter=np.int64(50), graph_max_iter=np.int32(20),
-            normalize_distances=np.bool_(True),
         )
         write_result(tmp_path, result, **manifest)
         assert read_summary_json(tmp_path)["config"] == dataclasses.asdict(
             DecompositionConfig(K=2, alpha=50.0, beta=0.5, max_iter=50,
-                                graph_max_iter=20, normalize_distances=True)
+                                graph_max_iter=20)
         )
 
     def test_mode_csv_round_trips_samples(self, tmp_path):
