@@ -46,8 +46,6 @@ from .io_formats import (
 from .spectral import mean_frequency, to_coefficients
 from .synth import SynthSpec, generate, paper_preset
 
-_PRESETS = ("paper",)
-
 
 def _spec_from_json(path: str) -> SynthSpec:
     try:
@@ -246,17 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic test signal")
-    group = p_synth.add_mutually_exclusive_group()
-    group.add_argument(
-        "--preset", choices=_PRESETS, default="paper",
-        help="built-in signal recipe (default: paper)",
-    )
-    group.add_argument("--spec", help="path to a SynthSpec JSON file")
+    p_synth.add_argument("--spec", help="path to a SynthSpec JSON file "
+                                        "(default: the paper preset)")
     p_synth.add_argument("--snr", type=float, default=None,
                          help="per-node SNR in dB; pass -1e1 as --snr=-1e1 "
                               "(default: no noise)")
     p_synth.add_argument("--seed", type=int, default=None,
-                         help="noise seed (default: the spec's, 0 for a preset)")
+                         help="noise seed (default: the spec's, 0 for the preset)")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -285,14 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "relative change (default: %(default)s)")
     p_dec.add_argument("--max-iter", type=int, default=defaults.max_iter,
                        help="iteration cap (default: %(default)s)")
-    p_dec.add_argument("--graph-max-iter", type=int,
-                       default=defaults.graph_max_iter,
-                       help="cap on graph learner Newton steps per solve "
-                            "(default: %(default)s)")
-    p_dec.add_argument("--graph-epsilon", type=float,
-                       default=defaults.graph_epsilon,
-                       help="graph learner KKT residual tolerance, relative "
-                            "to the largest weight (default: %(default)s)")
     p_dec.add_argument("--mvmd", action="store_true", default=False,
                        help="baseline without graph learning (beta = 0)")
     p_dec.add_argument("--out", required=True, help="output directory")
@@ -313,8 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TvgmdError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TvgmdError, OSError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .graph_ops import n_edges
 
-_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
-_INT_FIELDS = ("K", "max_iter", "graph_max_iter")
+_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon")
+_INT_FIELDS = ("K", "max_iter")
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -84,22 +84,18 @@ class DecompositionConfig:
     a stop rule on the residual. The loop stops when ``sum_k ||g_k' -
     g_k||^2 / ||g_k||^2``, each mode's squared change over its previous
     energy with the norms taken over all nodes, falls below ``epsilon``, or
-    after ``max_iter`` iterations, unconverged.
-    ``graph_max_iter`` caps the Newton steps of each graph solve.
-    ``graph_epsilon`` is the KKT residual tolerance, relative to the
-    largest learned weight, of the final graphs: earlier solves are held
-    to the loop's relative step, ``sqrt`` of the previous iteration's
-    change clipped to ``[graph_epsilon, 0.25]``, and a run ends only on an
-    iteration whose solves were held to ``graph_epsilon``. A run in which
-    any graph solve misses its tolerance reports ``converged=False``.
-    Each graph is learned from its mode's raw pairwise distances.
-    ``beta = 0`` is the multivariate mode decomposition baseline.
+    after ``max_iter`` iterations, unconverged. The graph solves are not
+    configured: :mod:`~tvgmd.decomposer` holds them to fixed tolerances
+    and the learner caps their Newton steps. A run in which any graph
+    solve misses its tolerance reports ``converged=False``. Each graph is
+    learned from its mode's raw pairwise distances. ``beta = 0`` is the
+    multivariate mode decomposition baseline.
 
     A config checks itself when built: every float field must be a finite
-    real number, and ``K``, ``max_iter`` and ``graph_max_iter`` integers
-    (not bools). A field of the wrong type, or a value outside its range,
-    raises :class:`BadParameterError`. NumPy scalars are accepted, and
-    every field is stored as a plain Python ``int`` or ``float``.
+    real number, and ``K`` and ``max_iter`` integers (not bools). A field
+    of the wrong type, or a value outside its range, raises
+    :class:`BadParameterError`. NumPy scalars are accepted, and every
+    field is stored as a plain Python ``int`` or ``float``.
     """
 
     K: int
@@ -109,8 +105,6 @@ class DecompositionConfig:
     tau: float = 0.0
     epsilon: float = 1e-12
     max_iter: int = 2000
-    graph_max_iter: int = 2000
-    graph_epsilon: float = 1e-5
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
@@ -140,10 +134,6 @@ class DecompositionConfig:
             raise BadParameterError("epsilon must be positive")
         if self.max_iter < 1:
             raise BadParameterError("max_iter must be >= 1")
-        if self.graph_max_iter < 1:
-            raise BadParameterError("graph_max_iter must be >= 1")
-        if not self.graph_epsilon > 0:
-            raise BadParameterError("graph_epsilon must be positive")
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,8 @@ def write_result(
     ``graph_converged`` of that iteration's graph solves (empty lists when
     graph learning was off) and ``graph_tolerance``, the KKT tolerance
     those solves were held to (null when graph learning was off); a
-    converged run's last entry holds ``config.graph_epsilon``.
+    converged graph run's last entry holds the final tolerance, 1e-5
+    (``decomposer._GRAPH_EPSILON``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -12,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tvgmd.decomposer
 from tvgmd.cli import main
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import decompose
 from tvgmd.errors import TvgmdError
+from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.io_formats import (
     read_matrix_csv,
     read_summary_json,
@@ -28,7 +31,7 @@ FS_PRESET = "512"
 
 def run_synth(tmp_path, *extra):
     out = tmp_path / "signal.csv"
-    code = main(["synth", "--preset", "paper", "--out", str(out), *extra])
+    code = main(["synth", "--out", str(out), *extra])
     return code, out
 
 
@@ -81,9 +84,17 @@ class TestSynthCommand:
 
     def test_missing_snr_value_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["synth", "--preset", "paper", "--snr",
+            main(["synth", "--snr", "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+
+    def test_preset_flag_is_usage_error(self, tmp_path):
+        # the paper preset is what synth writes without --spec; the flag
+        # that named it, its only choice, is gone
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "--preset", "paper",
                   "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_custom_spec_file(self, tmp_path):
         spec = {
@@ -306,47 +317,54 @@ class TestDecomposeCommand:
         assert code == 3 and capsys.readouterr().err == ""
         assert read_summary_json(run_dir)["converged"] is False
 
-    def test_threads_flag_is_usage_error(self, tmp_path, small_signal):
-        # the flag never had an effect and is gone; argparse rejects it
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "decompose", "--input", str(small_signal), "--fs", "256",
-                "--k", "2", "--alpha", "200", "--threads", "1",
-                "--out", str(tmp_path / "run"),
-            ])
-        assert exc.value.code == 2
-        assert not (tmp_path / "run").exists()
+    @pytest.mark.parametrize(
+        "message, line",
+        [("", "error: out of memory"),
+         ("Unable to allocate 6.0 PiB", "error: Unable to allocate 6.0 PiB")],
+        ids=["bare", "numpy"],
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, small_signal,
+                                             capsys, monkeypatch, message,
+                                             line):
+        # arrays that do not fit in memory end the run with one error line,
+        # as any other runtime error does; no array is allocated here
+        def exhaust(signal, config):
+            raise MemoryError(message)
 
-    def test_no_mirror_flag_is_usage_error(self, tmp_path, small_signal):
-        # every run mirror-extends its input; the flag that turned it off
-        # is gone, and no field of the config takes its place
-        with pytest.raises(SystemExit) as exc:
-            run_decompose(tmp_path, small_signal, "--no-mirror")
-        assert exc.value.code == 2
-        assert not (tmp_path / "run").exists()
-        assert "mirror_extend" not in {
-            field.name for field in dataclasses.fields(DecompositionConfig)}
+        monkeypatch.setattr("tvgmd.cli.decompose", exhaust)
+        code, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not run_dir.exists()
 
-    def test_omega_init_flag_is_usage_error(self, tmp_path, small_signal):
-        # every run starts its modes at the input's spectral peaks; the
-        # flag that chose another start is gone, with its config field
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            # the flag never had an effect
+            (["--threads", "1"], "threads"),
+            # every run mirror-extends its input
+            (["--no-mirror"], "mirror_extend"),
+            # every run starts its modes at the input's spectral peaks
+            (["--omega-init", "peaks"], "omega_init"),
+            # every graph is learned from its mode's raw distances
+            (["--normalize-distances"], "normalize_distances"),
+            # the graph solves' final tolerance and Newton cap are fixed
+            (["--graph-epsilon", "1e-6"], "graph_epsilon"),
+            (["--graph-max-iter", "5"], "graph_max_iter"),
+        ],
+        ids=["threads", "no_mirror", "omega_init", "normalize_distances",
+             "graph_epsilon", "graph_max_iter"],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, small_signal, flags,
+                                         field):
+        # the flag is gone, and no field of the config takes its place;
+        # argparse rejects it before anything is written
         with pytest.raises(SystemExit) as exc:
-            run_decompose(tmp_path, small_signal, "--omega-init", "peaks")
+            run_decompose(tmp_path, small_signal, *flags)
         assert exc.value.code == 2
         assert not (tmp_path / "run").exists()
-        assert "omega_init" not in {
-            field.name for field in dataclasses.fields(DecompositionConfig)}
-
-    def test_normalize_distances_flag_is_usage_error(self, tmp_path,
-                                                     small_signal):
-        # every graph is learned from its mode's raw distances; the flag
-        # that divided them by their mean is gone, with its config field
-        with pytest.raises(SystemExit) as exc:
-            run_decompose(tmp_path, small_signal, "--normalize-distances")
-        assert exc.value.code == 2
-        assert not (tmp_path / "run").exists()
-        assert "normalize_distances" not in {
-            field.name for field in dataclasses.fields(DecompositionConfig)}
+        assert field not in {
+            f.name for f in dataclasses.fields(DecompositionConfig)}
 
 
 class TestInspectCommand:
@@ -486,11 +504,11 @@ class TestInspectCommand:
                 if line.split()[0].isdigit()] == ["1", "2", "3", "4"]
 
     def test_inspect_reports_graph_solves(self, tmp_path, small_signal,
-                                          capsys):
+                                          capsys, monkeypatch):
         # one Newton step per solve leaves some solves short of tolerance
-        _, run_dir = run_decompose(
-            tmp_path, small_signal, "--fs", "256", "--graph-max-iter", "1"
-        )
+        monkeypatch.setattr(tvgmd.decomposer, "learn_graph_batch",
+                            functools.partial(learn_graph_batch, max_iter=1))
+        _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         summary = read_summary_json(run_dir)
         trace = summary["trace"]
         solves = sum(len(e["graph_converged"]) for e in trace)
@@ -543,8 +561,10 @@ class TestInspectCommand:
 
     @pytest.mark.parametrize(
         "old_key",
-        [None, ("mirror_extend", False), ("normalize_distances", True)],
-        ids=["no_key", "old_unmirrored", "old_normalized"],
+        [None, ("mirror_extend", False), ("normalize_distances", True),
+         ("graph_epsilon", 1e-5), ("graph_max_iter", 2000)],
+        ids=["no_key", "old_unmirrored", "old_normalized",
+             "old_graph_epsilon", "old_graph_max_iter"],
     )
     def test_plot_data_ignores_old_config_keys(self, tmp_path, small_signal,
                                                old_key):
@@ -554,8 +574,8 @@ class TestInspectCommand:
         # to DCT-II spectra, T rows each
         _, run_dir = run_decompose(tmp_path, small_signal, "--fs", "256")
         summary = read_summary_json(run_dir)
-        assert not {"mirror_extend", "normalize_distances"} & set(
-            summary["config"])
+        assert not {"mirror_extend", "normalize_distances", "graph_epsilon",
+                    "graph_max_iter"} & set(summary["config"])
         if old_key is not None:
             name, value = old_key
             summary["config"][name] = value

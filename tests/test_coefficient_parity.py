@@ -35,6 +35,7 @@ import pytest
 
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import (
+    _GRAPH_EPSILON,
     _LOOSEST,
     _RELAX,
     _RELAX_BELOW,
@@ -147,9 +148,9 @@ def reference_decompose(signal, config):
         return np.fft.rfft(mirror_extend(series), axis=-1)
 
     # each iteration's graph tolerance: the loosest at first, then the
-    # previous relative step clipped to [graph_epsilon, loosest], and
-    # graph_epsilon once the stop test has passed
-    graph_tol = max(config.graph_epsilon, _LOOSEST)
+    # previous relative step clipped to [_GRAPH_EPSILON, loosest], and
+    # _GRAPH_EPSILON once the stop test has passed
+    graph_tol = _LOOSEST
     rel_change = np.inf
     trace = []
     converged = False
@@ -184,7 +185,6 @@ def reference_decompose(signal, config):
                 config.beta,
                 config.gamma,
                 edge_w,
-                max_iter=config.graph_max_iter,
                 eps=graph_tol,
             )
             graphs_solved &= bool(solved.all())
@@ -204,13 +204,12 @@ def reference_decompose(signal, config):
         )
         trace.append((rel_change, objective))
         if rel_change < config.epsilon:
-            if config.beta == 0 or graph_tol == config.graph_epsilon:
+            if config.beta == 0 or graph_tol == _GRAPH_EPSILON:
                 converged = True
                 break
-            graph_tol = config.graph_epsilon
+            graph_tol = _GRAPH_EPSILON
         else:
-            graph_tol = max(config.graph_epsilon,
-                            min(_LOOSEST, np.sqrt(rel_change)))
+            graph_tol = max(_GRAPH_EPSILON, min(_LOOSEST, np.sqrt(rel_change)))
 
     order = np.argsort(omegas, kind="stable")
     return {
@@ -359,8 +358,8 @@ def test_matches_complex_reference_loop(name, k, beta, tau):
     # tolerance to there, so the runs stop at 1e-10 instead: this grid does
     # not cover the default tolerance. test_many_nodes_match_reference_loop
     # runs the beta = 0 loop at it. A run whose stop test first passes on
-    # graphs solved looser than graph_epsilon takes one more iteration,
-    # held to graph_epsilon, and its change can fall to 1e-15; that one
+    # graphs solved looser than _GRAPH_EPSILON takes one more iteration,
+    # held to _GRAPH_EPSILON, and its change can fall to 1e-15; that one
     # entry is compared within 1e-9 relative or ten times the rounding
     # estimate, 1e-15 / sqrt(rel_change), whichever is larger.
     signal = SIGNALS[name]()
@@ -390,7 +389,7 @@ def test_matches_complex_reference_loop(name, k, beta, tau):
     rest = np.setdiff1d(np.arange(len(ref_change)), forced)
     assert trace[rest] == pytest.approx(ref["trace"][rest], rel=1e-9, abs=0.0)
     for i in forced:
-        assert got.trace[i].graph_tolerance == config.graph_epsilon
+        assert got.trace[i].graph_tolerance == _GRAPH_EPSILON
         bound = max(1e-9 * ref_change[i], 1e-15 * np.sqrt(ref_change[i]))
         assert abs(trace[i, 0] - ref_change[i]) <= bound
         assert trace[i, 1] == pytest.approx(ref["trace"][i, 1], rel=1e-9,

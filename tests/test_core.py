@@ -147,7 +147,7 @@ def layout(t):
     return to_coefficients(np.zeros(t))[1:]
 
 
-_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon", "graph_epsilon")
+_FLOAT_FIELDS = ("alpha", "beta", "gamma", "tau", "epsilon")
 
 
 class TestValidateConfig:
@@ -196,8 +196,6 @@ class TestValidateConfig:
             {"alpha": 1.0, "max_iter": 0},
             {"alpha": 1.0, "beta": 0.5, "gamma": 0.0},
             {"alpha": 1.0, "beta": 0.0, "gamma": -1.0},
-            {"alpha": 1.0, "graph_max_iter": 0},
-            {"alpha": 1.0, "graph_epsilon": 0.0},
         ]
         + [
             {"alpha": 1.0, name: value}
@@ -210,7 +208,6 @@ class TestValidateConfig:
             {"alpha": 1.0, "K": True},
             {"alpha": 1.0, "max_iter": 2.5},
             {"alpha": 1.0, "max_iter": True},
-            {"alpha": 1.0, "graph_max_iter": 3.5},
             {"alpha": "50"},
         ],
     )
@@ -219,9 +216,10 @@ class TestValidateConfig:
             DecompositionConfig(**{"K": 2, **kwargs})
 
     def test_removed_fields_are_not_accepted(self):
-        # nine fields; keys that older versions had are no config at all
-        assert len(dataclasses.fields(DecompositionConfig)) == 9
-        for name in ("normalize_distances", "mirror_extend", "omega_init"):
+        # seven fields; keys that older versions had are no config at all
+        assert len(dataclasses.fields(DecompositionConfig)) == 7
+        for name in ("normalize_distances", "mirror_extend", "omega_init",
+                     "graph_epsilon", "graph_max_iter"):
             with pytest.raises(TypeError):
                 DecompositionConfig(K=2, alpha=1.0, **{name: True})
 

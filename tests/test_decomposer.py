@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import tvgmd.decomposer as decomposer
 from tvgmd import graph_learner
 from tvgmd.core import DecompositionConfig, TimeVaryingGraphSignal
 from tvgmd.decomposer import (
+    _GRAPH_EPSILON,
     _LOOSEST,
     _RELAX_BELOW,
     _relative_change,
@@ -17,6 +19,7 @@ from tvgmd.decomposer import (
     decompose,
 )
 from tvgmd.errors import NonFiniteInputError, TvgmdError
+from tvgmd.graph_learner import learn_graph_batch
 from tvgmd.spectral import row_blocks
 from tvgmd.synth import generate, paper_preset
 from test_graph_learner import gradient
@@ -244,15 +247,22 @@ class TestStoppingRule:
                 2e-6 * np.abs(preset.samples).max())
 
 
+@pytest.fixture
+def capped_solves(monkeypatch):
+    """Caps every graph solve of the decomposer at one Newton step."""
+    monkeypatch.setattr(decomposer, "learn_graph_batch",
+                        functools.partial(learn_graph_batch, max_iter=1))
+
+
 class TestGraphPath:
     def test_clean_preset_learner_work(self, preset, monkeypatch):
         # early solves are held to the modes' relative step instead of
-        # graph_epsilon: 210 Newton steps and 187 objective evaluations in
-        # 36 iterations, against 345 and 220 with every solve held to
-        # graph_epsilon. The damped Newton start spares most line-search
+        # _GRAPH_EPSILON: 210 Newton steps and 187 objective evaluations
+        # in 36 iterations, against 345 and 220 with every solve held to
+        # _GRAPH_EPSILON. The damped Newton start spares most line-search
         # halvings (full first steps took 392 evaluations at
-        # graph_epsilon), and the trace reads each graph's objective off
-        # its solve instead of evaluating it again (255 at graph_epsilon).
+        # _GRAPH_EPSILON), and the trace reads each graph's objective off
+        # its solve instead of evaluating it again (255 at _GRAPH_EPSILON).
         # Over-relaxing the linear tail takes that to 26 iterations, 179
         # Newton steps and 173 evaluations, and raising the loosest early
         # tolerance from 0.1 to 0.25 to 148 Newton steps and 133
@@ -291,12 +301,10 @@ class TestGraphPath:
         cross = [weights[(0, 3)], weights[(1, 3)], weights[(2, 3)]]
         assert min(in_group) > 3 * max(max(cross), 1e-12)
 
-    def test_capped_graph_solve_is_not_converged(self):
+    def test_capped_graph_solve_is_not_converged(self, capped_solves):
         # one Newton step per solve is too few from the cold start, yet the
         # outer stopping rule still fires; the run must not claim success
-        config = DecompositionConfig(
-            K=2, alpha=200.0, beta=0.1, graph_max_iter=1
-        )
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
         result = decompose(two_tone_signal(), config)
         assert result.trace[-1].rel_change < config.epsilon
         assert result.iterations < config.max_iter
@@ -317,10 +325,8 @@ class TestGraphPath:
             assert np.all(np.isfinite(mode.edge_weights))
         assert not result.converged
 
-    def test_trace_records_graph_solves(self):
-        config = DecompositionConfig(
-            K=2, alpha=200.0, beta=0.1, graph_max_iter=1
-        )
+    def test_trace_records_graph_solves(self, capped_solves):
+        config = DecompositionConfig(K=2, alpha=200.0, beta=0.1)
         result = decompose(two_tone_signal(), config)
         steps = [n for s in result.trace for n in s.graph_steps]
         solved = [ok for s in result.trace for ok in s.graph_converged]
@@ -651,7 +657,7 @@ class TestGraphTolerance:
     def test_tolerance_follows_the_previous_change(self, graph_runs):
         # the first solves are held to the loosest tolerance, each later
         # one to the previous iteration's relative step within
-        # [graph_epsilon, loosest], and to graph_epsilon once the stop
+        # [_GRAPH_EPSILON, loosest], and to _GRAPH_EPSILON once the stop
         # test has passed
         config, runs = graph_runs
         for result in runs:
@@ -659,17 +665,17 @@ class TestGraphTolerance:
             for s in result.trace[:-1]:
                 step = math.sqrt(s.rel_change)
                 expected.append(
-                    config.graph_epsilon if s.rel_change < config.epsilon
-                    else max(config.graph_epsilon, min(_LOOSEST, step)))
+                    _GRAPH_EPSILON if s.rel_change < config.epsilon
+                    else max(_GRAPH_EPSILON, min(_LOOSEST, step)))
             assert [s.graph_tolerance for s in result.trace] == expected
             assert len(set(expected)) > 10
 
     def test_converged_runs_end_on_final_graphs(self, graph_runs):
         # a run ends on the first iteration that passes the stop test
-        # with its graphs solved to graph_epsilon, and those graphs meet
+        # with its graphs solved to _GRAPH_EPSILON, and those graphs meet
         # the KKT tolerance over the result's own modes
         config, runs = graph_runs
-        eps, graph_eps = config.epsilon, config.graph_epsilon
+        eps, graph_eps = config.epsilon, _GRAPH_EPSILON
         for result in runs:
             assert result.converged
             *earlier, last = result.trace
@@ -706,7 +712,7 @@ class TestRelaxation:
             if beta > 0:
                 w = plain_mode.edge_weights
                 assert np.abs(mode.edge_weights - w).max() <= (
-                    config.graph_epsilon * w.max())
+                    _GRAPH_EPSILON * w.max())
 
     @pytest.mark.parametrize("beta", [0.0, 0.1])
     def test_relaxation_waits_for_the_linear_tail(self, preset, beta,
@@ -754,13 +760,15 @@ class TestMemory:
         peak = traced_peak_in_mode_buffers(32, 8192, 4, beta=0.0)
         assert peak <= 1.5
 
-    def test_graph_peak_frees_squares_before_distances(self):
+    def test_graph_peak_frees_squares_before_distances(self, monkeypatch):
         # With graphs an iteration also holds the smoothed modes; the
         # energies' squares and the distances' weighted modes both go into
         # the buffer the sweep wrote, which smoothing leaves free: about
         # 4.1 buffers at the peak. A fresh (K, N, P) temporary for either
         # reaches about 5.0, and keeping the squares alive into the
-        # distances adds one more.
-        peak = traced_peak_in_mode_buffers(32, 4096, 4, beta=0.1,
-                                           graph_max_iter=5)
+        # distances adds one more. Five Newton steps per solve keep the
+        # run short.
+        monkeypatch.setattr(decomposer, "learn_graph_batch",
+                            functools.partial(learn_graph_batch, max_iter=5))
+        peak = traced_peak_in_mode_buffers(32, 4096, 4, beta=0.1)
         assert peak <= 4.5
